@@ -4,6 +4,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <vector>
 
 #include "bench_main.hpp"
@@ -76,6 +77,37 @@ void BM_ShadowDirectAccess(benchmark::State& state) {
   futrace::detail::unregister_shared_region(cells.data());
 }
 BENCHMARK(BM_ShadowDirectAccess);
+
+// Registration cost as seen from the access path: R arrays registered one
+// at a time into a shadow pre-sized like a big workload's (a large, empty
+// hashed table), each followed by one access that mirrors the new range
+// into a slab. Items are registrations, so per-item time should stay flat
+// as R grows: the slab build must not sweep the reserved table, and the
+// resync must not re-sort or re-mirror the regions already live.
+void BM_RegisterRegions(benchmark::State& state) {
+  const auto regions = static_cast<std::size_t>(state.range(0));
+  std::vector<std::vector<int>> arrays(regions, std::vector<int>(64));
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto shadow = std::make_unique<shadow_memory>();
+    shadow->reserve(3 * 256 * 256);
+    state.ResumeTiming();
+    for (std::vector<int>& a : arrays) {
+      futrace::detail::register_shared_region(a.data(), a.size() * sizeof(int),
+                                              sizeof(int));
+      benchmark::DoNotOptimize(shadow->access(a.data()).writer);
+    }
+    state.PauseTiming();
+    for (std::vector<int>& a : arrays) {
+      futrace::detail::unregister_shared_region(a.data());
+    }
+    shadow.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(regions));
+}
+BENCHMARK(BM_RegisterRegions)->Arg(64)->Arg(512)->Arg(2048);
 
 // Detector driven directly through its observer interface: repeated writes
 // by one task (the same-task fast path every sequential program hits).

@@ -169,6 +169,8 @@ struct shadow_stats {
   std::uint64_t slab_fallbacks = 0;   // ranges kept on the hashed path
   std::uint64_t rejected_overlaps = 0;  // ranges colliding with a live slab
   std::uint64_t migrated_cells = 0;  // hashed cells moved into a new slab
+  std::uint64_t migration_scans = 0;  // full hashed-table sweeps (slab
+                                      // build or large-block retire)
   std::uint64_t summaries_established = 0;  // full-slab runs collapsed
   std::uint64_t summary_materializations = 0;  // summaries expanded back
 };
@@ -450,6 +452,10 @@ class shadow_memory {
         (size & (size - 1)) == 0 && (a & (size - 1)) == 0) {
       return access_span{addr, 1, size};
     }
+    if (geoms_stale_) {
+      geoms_ = detail::shared_region_snapshot();
+      geoms_stale_ = false;
+    }
     const auto it = std::upper_bound(
         geoms_.begin(), geoms_.end(), a,
         [](std::uintptr_t key, const detail::shared_region& g) {
@@ -474,9 +480,7 @@ class shadow_memory {
   /// cached state, or pending summary (unlike the access-path lookups).
   const char* tier_name(const void* addr) const noexcept {
     const std::uintptr_t a = reinterpret_cast<std::uintptr_t>(addr);
-    const auto it = std::upper_bound(
-        ranges_.begin(), ranges_.end(), a,
-        [](std::uintptr_t key, const direct_range& r) { return key < r.base; });
+    const auto it = first_slab_above(ranges_, a);
     if (it != ranges_.begin()) {
       const direct_range& r = *std::prev(it);
       if (a >= r.base && a < r.end) return "direct";
@@ -552,14 +556,14 @@ class shadow_memory {
     std::size_t retired = 0;
     for (std::size_t i = 0; i < ranges_.size();) {
       direct_range& r = ranges_[i];
-      bool overlaps_live = false;
-      for (const detail::shared_region& reg : live) {
-        if (r.base < reg.end && reg.base < r.end) {
-          overlaps_live = true;
-          break;
-        }
-      }
-      if (overlaps_live) {
+      // `live` is base-sorted and disjoint: of the regions starting below
+      // r.end, only the last can reach past r.base.
+      const auto next = std::lower_bound(
+          live.begin(), live.end(), r.end,
+          [](const detail::shared_region& g, std::uintptr_t key) {
+            return g.base < key;
+          });
+      if (next != live.begin() && std::prev(next)->end > r.base) {
         ++i;
         continue;
       }
@@ -579,7 +583,7 @@ class shadow_memory {
       }
       retired_locations_ += touched;
       slab_bytes_ -= r.cells.size() * sizeof(shadow_cell);
-      mirrored_regions_.erase(r.region_key);
+      forget_registration(r.region_key);
       ranges_.erase(ranges_.begin() + static_cast<std::ptrdiff_t>(i));
       ++retired;
     }
@@ -607,18 +611,22 @@ class shadow_memory {
     std::size_t retired = 0;
     // Hashed tier. Cells are keyed by (canonicalized) byte addresses inside
     // the block, so for a small block probing every byte is far cheaper
-    // than scanning the whole table; large blocks amortize the scan.
+    // than scanning the whole table; large blocks amortize the scan. Either
+    // is skipped when no hashed key ever fell inside the block.
     std::vector<const void*> dead;
-    if (bytes <= 1024) {
-      for (std::uintptr_t p = lo; p < hi; ++p) {
-        const void* a = reinterpret_cast<const void*>(p);
-        if (cells_.find(a) != nullptr) dead.push_back(a);
+    if (hashed_keys_may_overlap(lo, hi)) {
+      if (bytes <= 1024) {
+        for (std::uintptr_t p = lo; p < hi; ++p) {
+          const void* a = reinterpret_cast<const void*>(p);
+          if (cells_.find(a) != nullptr) dead.push_back(a);
+        }
+      } else {
+        ++stats_.migration_scans;
+        cells_.for_each([&](const void* a, shadow_cell&) {
+          const std::uintptr_t p = reinterpret_cast<std::uintptr_t>(a);
+          if (p >= lo && p < hi) dead.push_back(a);
+        });
       }
-    } else {
-      cells_.for_each([&](const void* a, shadow_cell&) {
-        const std::uintptr_t p = reinterpret_cast<std::uintptr_t>(a);
-        if (p >= lo && p < hi) dead.push_back(a);
-      });
     }
     for (const void* a : dead) {
       shadow_cell* cell = cells_.find(a);
@@ -630,7 +638,7 @@ class shadow_memory {
       cell->overflow = nullptr;
       cells_.erase(a);
     }
-    if (!dead.empty()) invalidate_hashed_mru();
+    if (!dead.empty()) after_hashed_erase();
     // Slab tier: mirror retire_dead_slabs for every overlapping slab.
     bool slabs_changed = false;
     for (std::size_t i = 0; i < ranges_.size();) {
@@ -654,7 +662,7 @@ class shadow_memory {
       retired_locations_ += touched;
       retired += touched;
       slab_bytes_ -= r.cells.size() * sizeof(shadow_cell);
-      mirrored_regions_.erase(r.region_key);
+      forget_registration(r.region_key);
       ranges_.erase(ranges_.begin() + static_cast<std::ptrdiff_t>(i));
       slabs_changed = true;
     }
@@ -706,14 +714,54 @@ class shadow_memory {
     return nullptr;
   }
 
+  /// Every hashed insert passes through here, so this also widens the
+  /// table's key bounds.
   void note_hashed_cell(const void* addr, shadow_cell* cell) noexcept {
     mru_addr_ = addr;
     mru_cell_ = cell;
+    const std::uintptr_t a = reinterpret_cast<std::uintptr_t>(addr);
+    if (a < hashed_lo_) hashed_lo_ = a;
+    if (a > hashed_hi_) hashed_hi_ = a;
   }
 
   void invalidate_hashed_mru() noexcept {
     mru_addr_ = nullptr;
     mru_cell_ = nullptr;
+  }
+
+  /// False when no key in [lo, hi) can be in the hashed table: the bounds
+  /// span every key ever inserted (erase leaves them conservative), so a
+  /// slab build or block retire outside them skips its table sweep — which
+  /// otherwise costs O(table capacity) even for a reserved, empty table.
+  bool hashed_keys_may_overlap(std::uintptr_t lo,
+                               std::uintptr_t hi) const noexcept {
+    return hashed_lo_ < hi && lo <= hashed_hi_;
+  }
+
+  void after_hashed_erase() noexcept {
+    invalidate_hashed_mru();
+    if (cells_.empty()) {
+      hashed_lo_ = UINTPTR_MAX;
+      hashed_hi_ = 0;
+    }
+  }
+
+  /// Drops a registration from the seen-set so an identical re-registration
+  /// gets a fresh slab. A still-live registration with that key must be
+  /// re-mirrored too, so the next sync looks at every live entry, not only
+  /// the ones registered since the last sync.
+  void forget_registration(std::uint64_t key) {
+    mirrored_regions_.erase(key);
+    remirror_all_ = true;
+  }
+
+  /// Upper bound of `a` in a base-sorted slab list.
+  template <typename Ranges>
+  static auto first_slab_above(Ranges& ranges, std::uintptr_t a)
+      -> decltype(ranges.begin()) {
+    return std::upper_bound(
+        ranges.begin(), ranges.end(), a,
+        [](std::uintptr_t key, const direct_range& r) { return key < r.base; });
   }
 
   void sync_if_stale() {
@@ -732,9 +780,7 @@ class shadow_memory {
   direct_range* find_slab(std::uintptr_t a) {
     direct_range& mru = ranges_[mru_range_];
     if (a >= mru.base && a < mru.end) return &mru;
-    const auto it = std::upper_bound(
-        ranges_.begin(), ranges_.end(), a,
-        [](std::uintptr_t key, const direct_range& r) { return key < r.base; });
+    const auto it = first_slab_above(ranges_, a);
     if (it == ranges_.begin()) return nullptr;
     direct_range& r = *std::prev(it);
     if (a >= r.end) return nullptr;
@@ -756,38 +802,36 @@ class shadow_memory {
     return &r->cells[(a - r->base) >> r->shift];
   }
 
+  /// Catches up with the registry: the live geometry aggregates, plus the
+  /// seen-set and slab build for each entry registered since the last sync
+  /// (or every live entry, after a retire forgot a key), in registration
+  /// order. Costs O(new entries), not O(live regions).
   void sync_regions() {
-    const std::uint64_t version = detail::shared_region_version();
-    const std::vector<detail::shared_region> snapshot =
-        detail::shared_region_snapshot();
-    for (const detail::shared_region& reg : snapshot) {
+    const detail::shared_region_delta d = detail::shared_regions_since(
+        remirror_all_ ? 0 : region_version_seen_, fresh_regions_);
+    // Element-geometry mirror for span_of(): the *live* regions only —
+    // decomposition follows the current registration, while slabs keep
+    // their never-forget policy. Only the aggregates are needed on the
+    // fast path; span_of's slow path refreshes the list itself.
+    min_geom_stride_ = d.min_stride;
+    geoms_aligned_ = d.aligned;
+    geoms_stale_ = true;
+    for (const detail::shared_region& reg : fresh_regions_) {
       // Seen-set keyed on the full geometry: re-registering an identical
       // range (address reuse by an identical array) silently reuses its
       // slab, while a geometry change at the same address goes through
       // try_build_slab and is rejected to the hashed path, which keeps
       // per-address location identity exact.
-      const std::uint64_t key = mix64(reg.base) ^ mix64(reg.end + 1) ^
-                                mix64(0x100000000ULL + reg.stride);
-      if (!mirrored_regions_.insert(key).second) continue;
+      if (!mirrored_regions_.insert(region_key(reg)).second) continue;
       if (direct_enabled_) try_build_slab(reg);
     }
-    // Element-geometry mirror for span_of(): the *live* regions only —
-    // decomposition follows the current registration, while slabs keep
-    // their never-forget policy above.
-    geoms_ = snapshot;
-    std::sort(geoms_.begin(), geoms_.end(),
-              [](const detail::shared_region& x, const detail::shared_region& y) {
-                return x.base < y.base;
-              });
-    min_geom_stride_ = static_cast<std::size_t>(-1);
-    geoms_aligned_ = true;
-    for (const detail::shared_region& g : geoms_) {
-      if (g.stride < min_geom_stride_) min_geom_stride_ = g.stride;
-      geoms_aligned_ = geoms_aligned_ && g.stride != 0 &&
-                       (g.stride & (g.stride - 1)) == 0 &&
-                       (g.base & (g.stride - 1)) == 0;
-    }
-    region_version_seen_ = version;
+    region_version_seen_ = d.version;
+    remirror_all_ = false;
+  }
+
+  static std::uint64_t region_key(const detail::shared_region& reg) {
+    return mix64(reg.base) ^ mix64(reg.end + 1) ^
+           mix64(0x100000000ULL + reg.stride);
   }
 
   static std::uint64_t mix64(std::uint64_t z) {
@@ -805,15 +849,17 @@ class shadow_memory {
       ++stats_.slab_fallbacks;
       return;
     }
-    for (const direct_range& r : ranges_) {
-      if (reg.base < r.end && r.base < reg.end) {
-        // Overlaps a slab built for an earlier (possibly since-destroyed)
-        // array. Serving two identities from one slab would corrupt cell
-        // state, so the newcomer stays hashed.
-        ++stats_.rejected_overlaps;
-        ++stats_.slab_fallbacks;
-        return;
-      }
+    // Slabs are disjoint and base-sorted: only the neighbours of reg.base
+    // can overlap it.
+    const auto next = first_slab_above(ranges_, reg.base);
+    if ((next != ranges_.end() && next->base < reg.end) ||
+        (next != ranges_.begin() && std::prev(next)->end > reg.base)) {
+      // Overlaps a slab built for an earlier (possibly since-destroyed)
+      // array. Serving two identities from one slab would corrupt cell
+      // state, so the newcomer stays hashed.
+      ++stats_.rejected_overlaps;
+      ++stats_.slab_fallbacks;
+      return;
     }
     std::uint32_t shift = 0;
     while ((1u << shift) != reg.stride) ++shift;
@@ -867,19 +913,14 @@ class shadow_memory {
       r.base = run_base;
       r.end = run_end;
       r.shift = shift;
-      r.region_key = mix64(reg.base) ^ mix64(reg.end + 1) ^
-                     mix64(0x100000000ULL + reg.stride);
+      r.region_key = region_key(reg);
       std::size_t inserted_at = 0;
       try {
         r.cells.resize(static_cast<std::size_t>(run_end - run_base) >> shift);
         // Keep the list sorted by base so direct_find can binary-search;
         // overlap rejection above guarantees the order is total.
-        const auto pos = std::upper_bound(
-            ranges_.begin(), ranges_.end(), r.base,
-            [](std::uintptr_t key, const direct_range& existing) {
-              return key < existing.base;
-            });
-        const auto ins = ranges_.insert(pos, std::move(r));
+        const auto ins =
+            ranges_.insert(first_slab_above(ranges_, r.base), std::move(r));
         inserted_at = static_cast<std::size_t>(ins - ranges_.begin());
       } catch (...) {
         ++stats_.slab_fallbacks;
@@ -896,8 +937,10 @@ class shadow_memory {
   /// Moves cells the hashed tier already materialized for in-range
   /// addresses into the new slab, so a range registered after its first
   /// accesses (e.g. `assign` on a default-constructed array) keeps its
-  /// shadow state.
+  /// shadow state. O(1) unless the table's key bounds reach into the slab.
   void migrate_into_slab(direct_range& r) {
+    if (!hashed_keys_may_overlap(r.base, r.end)) return;
+    ++stats_.migration_scans;
     std::vector<const void*> in_range;
     cells_.for_each([&](const void* addr, shadow_cell&) {
       const std::uintptr_t a = reinterpret_cast<std::uintptr_t>(addr);
@@ -913,18 +956,23 @@ class shadow_memory {
     }
     // Backshift deletion relocates entries *other* than the erased keys, so
     // the MRU pointer may dangle even for an address that was never in range.
-    if (!in_range.empty()) invalidate_hashed_mru();
+    if (!in_range.empty()) after_hashed_erase();
   }
 
   support::ptr_map<shadow_cell> cells_;
   std::vector<direct_range> ranges_;
   std::vector<detail::shared_region> geoms_;  // live regions, base-sorted
+  bool geoms_stale_ = true;  // geoms_ predates the last sync
+  std::vector<detail::shared_region> fresh_regions_;  // sync_regions scratch
   std::size_t min_geom_stride_ = static_cast<std::size_t>(-1);
   bool geoms_aligned_ = true;  // all strides pow2, all bases stride-aligned
   std::unordered_set<std::uint64_t> mirrored_regions_;
+  bool remirror_all_ = false;  // a retire forgot a key: next sync sees all
   std::size_t mru_range_ = 0;
   const void* mru_addr_ = nullptr;     // one-slot hashed-tier MRU
   shadow_cell* mru_cell_ = nullptr;
+  std::uintptr_t hashed_lo_ = UINTPTR_MAX;  // min/max key ever inserted into
+  std::uintptr_t hashed_hi_ = 0;            // cells_; reset once it empties
   unsigned shard_shift_ = 0;           // set_shard(): chunk size log2
   std::size_t shard_index_ = 0;
   std::size_t shard_count_ = 1;        // 1 = unsharded (inline layout)

@@ -210,6 +210,8 @@ void add_shadow_source(metrics_registry& reg,
                  static_cast<double>(s.rejected_overlaps));
     snap.counter("shadow", "migrated_cells",
                  static_cast<double>(s.migrated_cells));
+    snap.counter("shadow", "migration_scans",
+                 static_cast<double>(s.migration_scans));
     snap.counter("shadow", "summaries_established",
                  static_cast<double>(s.summaries_established));
     snap.counter("shadow", "summary_materializations",

@@ -171,6 +171,36 @@ TEST(HeapReuse, ManyGenerationsStayClean) {
   EXPECT_EQ(det.counters().locations, static_cast<std::uint64_t>(k_generations));
 }
 
+/// Freeing a block larger than 1 KiB takes retire_region's table-sweep
+/// path; the sweep runs only when a hashed key may lie inside the block.
+TEST(HeapReuse, LargeBlockRetireSweepsOnlyWhenKeysMayBeInside) {
+  scoped_hooks arm;
+  alignas(64) static unsigned char arena[3 * 4096];
+  unsigned char* written = arena;          // holds a hashed cell
+  unsigned char* idle = arena + 2 * 4096;  // never accessed
+  detect::race_detector::options opts;
+  opts.instrument_heap = true;
+  detect::race_detector det(opts);
+  runtime rt({.mode = exec_mode::serial_dfs});
+  rt.add_observer(&det);
+  std::uint64_t scans_after_idle = 0;
+  rt.run([&] {
+    hook::note_alloc(written, 4096);
+    hook::note_alloc(idle, 4096);
+    futrace::write_shared(*reinterpret_cast<int*>(written), 1);
+    // A scalar between the blocks: the hashed keys span [arena, arena+4096].
+    futrace::write_shared(*reinterpret_cast<int*>(arena + 4096), 2);
+    hook::note_free(idle);
+    scans_after_idle = det.storage_stats().migration_scans;
+    hook::note_free(written);
+  });
+  EXPECT_EQ(scans_after_idle, 0u);
+  EXPECT_EQ(det.storage_stats().migration_scans, 1u);
+  EXPECT_FALSE(det.race_detected());
+  // The written block's cell retired, the scalar's stays live.
+  EXPECT_EQ(det.counters().locations, 2u);
+}
+
 /// A free with no runtime active (or inside machinery) cannot emit; the
 /// retire is queued and must drain before the address's next registration
 /// — so even a cross-run reuse starts fresh.

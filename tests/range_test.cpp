@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "futrace/detect/race_detector.hpp"
@@ -115,6 +116,46 @@ TEST(MixedSizeAccess, UnalignedStraddleCoversBothElements) {
   auto det = run_all_configs(program);
   EXPECT_TRUE(det.race_detected());
   EXPECT_EQ(det.counters().racy_locations, 2u);
+}
+
+// The region registry stays base-sorted while arrays come and go in any
+// order; straddling accesses must still decompose against the live geometry
+// of whichever array they hit, including one registered after a middle
+// entry was dropped.
+TEST(MixedSizeAccess, StraddleDecomposesAfterRegistryChurn) {
+  auto program = [] {
+    shared_array<std::uint32_t> words(16, 0);
+    shared_array<std::uint8_t> doomed(64, 0);
+    shared_array<std::uint16_t> halves(16, 0);
+    doomed.assign(0);  // unregisters the middle-aged entry
+    shared_array<std::uint8_t> bytes(64, 0);
+    words.assign(32, 0);  // re-registers at a new address
+    auto f = async_future([&] {
+      for (std::size_t i = 0; i < 4; ++i) bytes.write(i, 1);
+      halves.write(1, 1);
+      halves.write(2, 1);
+      words.write(5, 1);
+    });
+    // Bytes 0..3 of `bytes`; bytes 2..5 of `halves` (elements 1 and 2);
+    // bytes 20..27 of `words` (elements 5 and 6).
+    detail::instrument_read(bytes.address(0), 4,
+                            std::source_location::current());
+    detail::instrument_read(
+        static_cast<const char*>(halves.address(0)) + 2, 4,
+        std::source_location::current());
+    detail::instrument_read(words.address(5), 8,
+                            std::source_location::current());
+    f.get();
+  };
+  // Heap placement of the churned arrays differs between runs, so compare
+  // counts per configuration rather than racy address sets.
+  for (const auto& [fastpath, ranges] :
+       {std::pair{true, true}, std::pair{true, false},
+        std::pair{false, true}}) {
+    auto det = run_detected(config(fastpath, ranges), program);
+    EXPECT_EQ(det.counters().racy_locations, 7u)
+        << "fastpath=" << fastpath << " ranges=" << ranges;
+  }
 }
 
 // Element-sized accesses must keep taking the one-cell path: no behavioural

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "futrace/detect/shadow_memory.hpp"
@@ -420,6 +421,289 @@ TEST(HashedMru, TableGrowthRefreshesBeforeNextHit) {
     shadow.try_access(&cold[i])->writer = static_cast<task_id>(i);
     ASSERT_EQ(shadow.try_access(&hot)->writer, 123u) << "after insert " << i;
   }
+}
+
+// ------------------------------------------- registration cost (key bounds)
+
+// A reserved hashed table is large and, on array workloads, empty. Building
+// a slab must not sweep it: with no hashed key near the new range the
+// migration check is O(1), however many arrays register.
+TEST(MigrationScans, ReservedEmptyShadowNeverScans) {
+  constexpr std::size_t kArrays = 2000;
+  std::vector<std::vector<int>> arrays(kArrays, std::vector<int>(8));
+  shadow_memory shadow;
+  shadow.reserve(3 * 256 * 256);
+  for (std::vector<int>& a : arrays) {
+    ASSERT_TRUE(futrace::detail::register_shared_region(
+        a.data(), a.size() * sizeof(int), sizeof(int)));
+    shadow.try_access(&a[0]);
+  }
+  EXPECT_EQ(shadow.stats().slabs_built, kArrays);
+  EXPECT_EQ(shadow.stats().migration_scans, 0u);
+  EXPECT_EQ(shadow.stats().hashed_hits, 0u);
+  for (std::vector<int>& a : arrays) {
+    EXPECT_TRUE(futrace::detail::unregister_shared_region(a.data()));
+  }
+}
+
+TEST(MigrationScans, HashedCellsOutsideNewRangesSkipTheScan) {
+  std::vector<int> buf(256);
+  shadow_memory shadow;
+  // Hashed cells in the middle of the buffer, never registered.
+  shadow.try_access(&buf[100])->writer = 1;
+  shadow.try_access(&buf[101])->writer = 2;
+  // New ranges strictly below and strictly above them.
+  region_guard low(&buf[0], 64 * sizeof(int), sizeof(int));
+  region_guard high(&buf[128], 64 * sizeof(int), sizeof(int));
+  ASSERT_TRUE(low.ok_);
+  ASSERT_TRUE(high.ok_);
+  shadow.try_access(&buf[0]);
+  shadow.try_access(&buf[128]);
+  EXPECT_EQ(shadow.stats().slabs_built, 2u);
+  EXPECT_EQ(shadow.stats().migration_scans, 0u);
+  EXPECT_EQ(shadow.stats().migrated_cells, 0u);
+  EXPECT_EQ(shadow.try_access(&buf[100])->writer, 1u);
+}
+
+TEST(MigrationScans, HashedCellInsideLateRangeScansOnce) {
+  std::vector<int> buf(256);
+  shadow_memory shadow;
+  shadow.try_access(&buf[10])->writer = 10;    // inside the late range
+  shadow.try_access(&buf[100])->writer = 100;  // outside it
+  region_guard reg(&buf[0], 64 * sizeof(int), sizeof(int));
+  ASSERT_TRUE(reg.ok_);
+  EXPECT_EQ(shadow.try_access(&buf[10])->writer, 10u);
+  EXPECT_EQ(shadow.stats().migration_scans, 1u);
+  EXPECT_EQ(shadow.stats().migrated_cells, 1u);
+  // The outside cell stays hashed with its state.
+  const std::uint64_t hashed_before = shadow.stats().hashed_hits;
+  EXPECT_EQ(shadow.try_access(&buf[100])->writer, 100u);
+  EXPECT_EQ(shadow.stats().hashed_hits, hashed_before + 1);
+  // Erase left the bounds at [buf[10], buf[100]]: a range above them still
+  // builds without a scan.
+  region_guard above(&buf[128], 64 * sizeof(int), sizeof(int));
+  ASSERT_TRUE(above.ok_);
+  shadow.try_access(&buf[128]);
+  EXPECT_EQ(shadow.stats().slabs_built, 2u);
+  EXPECT_EQ(shadow.stats().migration_scans, 1u);
+}
+
+TEST(MigrationScans, BoundsResetWhenTableEmpties) {
+  std::vector<int> buf(256);
+  shadow_memory shadow;
+  shadow.try_access(&buf[10])->writer = 10;
+  shadow.try_access(&buf[200])->writer = 200;
+  region_guard low(&buf[0], 64 * sizeof(int), sizeof(int));
+  region_guard high(&buf[192], 64 * sizeof(int), sizeof(int));
+  ASSERT_TRUE(low.ok_);
+  ASSERT_TRUE(high.ok_);
+  shadow.try_access(&buf[10]);  // one sync builds both slabs
+  EXPECT_EQ(shadow.stats().migration_scans, 2u);
+  EXPECT_EQ(shadow.stats().migrated_cells, 2u);
+  // The table is empty again, so a range between the old keys is O(1).
+  region_guard mid(&buf[64], 64 * sizeof(int), sizeof(int));
+  ASSERT_TRUE(mid.ok_);
+  shadow.try_access(&buf[64]);
+  EXPECT_EQ(shadow.stats().slabs_built, 3u);
+  EXPECT_EQ(shadow.stats().migration_scans, 2u);
+  EXPECT_EQ(shadow.try_access(&buf[200])->writer, 200u);
+}
+
+// retire_region forgets a slab's registration even while it is still live;
+// the next sync must re-mirror it (not only entries registered since the
+// last sync), as a sync over every live entry always did.
+TEST(MigrationScans, RetiredLiveRegistrationIsRebuiltOnNextSync) {
+  std::vector<int> buf(64), other(64);
+  region_guard reg(buf.data(), buf.size() * sizeof(int), sizeof(int));
+  ASSERT_TRUE(reg.ok_);
+  shadow_memory shadow;
+  shadow.try_access(&buf[0]);
+  EXPECT_EQ(shadow.stats().slabs_built, 1u);
+  shadow.retire_region(buf.data(), buf.size() * sizeof(int));
+  shadow.try_access(&buf[1])->writer = 7;  // no version change: hashed
+  EXPECT_EQ(shadow.stats().direct_hits, 1u);
+  region_guard reg2(other.data(), other.size() * sizeof(int), sizeof(int));
+  ASSERT_TRUE(reg2.ok_);
+  shadow.try_access(&other[0]);
+  EXPECT_EQ(shadow.stats().slabs_built, 3u);  // buf again, then other
+  EXPECT_EQ(shadow.stats().migrated_cells, 1u);
+  EXPECT_EQ(shadow.try_access(&buf[1])->writer, 7u);
+  EXPECT_EQ(shadow.stats().direct_hits, 3u);
+}
+
+// ------------------------------------------------ sorted region registry
+
+namespace {
+
+/// The registry entries inside [lo, hi), in snapshot order.
+std::vector<futrace::detail::shared_region> entries_within(const void* lo,
+                                                           const void* hi) {
+  std::vector<futrace::detail::shared_region> out;
+  for (const auto& r : futrace::detail::shared_region_snapshot()) {
+    if (r.base >= reinterpret_cast<std::uintptr_t>(lo) &&
+        r.end <= reinterpret_cast<std::uintptr_t>(hi)) {
+      out.push_back(r);
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
+TEST(RegionRegistry, SnapshotStaysBaseSortedUnderInterleaving) {
+  using futrace::detail::register_shared_region;
+  using futrace::detail::unregister_shared_region;
+  std::vector<std::uint64_t> buf(64);
+  const auto slot = [&](std::size_t i) { return &buf[i * 4]; };
+  // Register out of address order, drop some, add more.
+  for (std::size_t i : {7u, 2u, 11u, 0u, 5u, 14u, 9u}) {
+    ASSERT_TRUE(register_shared_region(slot(i), 32, 8)) << i;
+  }
+  EXPECT_TRUE(unregister_shared_region(slot(2)));
+  EXPECT_TRUE(unregister_shared_region(slot(14)));
+  for (std::size_t i : {3u, 15u, 1u}) {
+    ASSERT_TRUE(register_shared_region(slot(i), 32, 8)) << i;
+  }
+  EXPECT_TRUE(unregister_shared_region(slot(9)));
+  const auto snap = entries_within(buf.data(), buf.data() + buf.size());
+  std::vector<std::uintptr_t> bases;
+  for (const auto& r : snap) bases.push_back(r.base);
+  std::vector<std::uintptr_t> expected;
+  for (std::size_t i : {0u, 1u, 3u, 5u, 7u, 11u, 15u}) {
+    expected.push_back(reinterpret_cast<std::uintptr_t>(slot(i)));
+  }
+  EXPECT_EQ(bases, expected);
+  for (std::size_t i : {0u, 1u, 3u, 5u, 7u, 11u, 15u}) {
+    EXPECT_TRUE(unregister_shared_region(slot(i))) << i;
+  }
+  EXPECT_TRUE(entries_within(buf.data(), buf.data() + buf.size()).empty());
+}
+
+TEST(RegionRegistry, OverlapRejectedAtEitherNeighbour) {
+  std::vector<char> buf(512);
+  char* b = buf.data();
+  region_guard left(b + 100, 100, 4);   // [100, 200)
+  region_guard right(b + 300, 100, 4);  // [300, 400)
+  ASSERT_TRUE(left.ok_);
+  ASSERT_TRUE(right.ok_);
+  using futrace::detail::register_shared_region;
+  EXPECT_FALSE(register_shared_region(b + 150, 100, 4));  // left neighbour
+  EXPECT_FALSE(register_shared_region(b + 250, 100, 4));  // right neighbour
+  EXPECT_FALSE(register_shared_region(b + 50, 400, 4));   // encloses both
+  EXPECT_FALSE(register_shared_region(b + 120, 10, 4));   // inside left
+  EXPECT_EQ(entries_within(b, b + buf.size()).size(), 2u);
+  // The exact gap between them fits.
+  region_guard gap(b + 200, 100, 4);
+  EXPECT_TRUE(gap.ok_);
+  EXPECT_EQ(entries_within(b, b + buf.size()).size(), 3u);
+}
+
+TEST(RegionRegistry, MiddleUnregisterAndBadUnregisters) {
+  using futrace::detail::register_shared_region;
+  using futrace::detail::unregister_shared_region;
+  std::vector<char> buf(96);
+  char* b = buf.data();
+  ASSERT_TRUE(register_shared_region(b, 32, 4));
+  ASSERT_TRUE(register_shared_region(b + 32, 32, 4));
+  ASSERT_TRUE(register_shared_region(b + 64, 32, 4));
+  EXPECT_TRUE(unregister_shared_region(b + 32));
+  EXPECT_FALSE(unregister_shared_region(b + 32)) << "double unregister";
+  EXPECT_FALSE(unregister_shared_region(b + 4)) << "interior pointer";
+  EXPECT_FALSE(unregister_shared_region(b + 48)) << "inside the freed hole";
+  const auto snap = entries_within(b, b + buf.size());
+  ASSERT_EQ(snap.size(), 2u);
+  EXPECT_EQ(snap[0].base, reinterpret_cast<std::uintptr_t>(b));
+  EXPECT_EQ(snap[1].base, reinterpret_cast<std::uintptr_t>(b + 64));
+  EXPECT_LT(snap[0].version, snap[1].version);  // registration order
+  // The hole takes a new registration.
+  EXPECT_TRUE(register_shared_region(b + 32, 32, 8));
+  EXPECT_TRUE(unregister_shared_region(b));
+  EXPECT_TRUE(unregister_shared_region(b + 32));
+  EXPECT_TRUE(unregister_shared_region(b + 64));
+}
+
+TEST(RegionRegistry, SinceListsLiveNewcomersInRegistrationOrder) {
+  using futrace::detail::register_shared_region;
+  using futrace::detail::shared_region;
+  using futrace::detail::shared_region_version;
+  using futrace::detail::shared_regions_since;
+  using futrace::detail::unregister_shared_region;
+  alignas(64) static unsigned char buf[1024];
+  const std::uint64_t before = shared_region_version();
+  ASSERT_TRUE(register_shared_region(buf + 512, 64, 8));
+  ASSERT_TRUE(register_shared_region(buf, 64, 8));
+  ASSERT_TRUE(register_shared_region(buf + 256, 60, 12));  // irregular
+  ASSERT_TRUE(unregister_shared_region(buf));  // gone before any sync
+  std::vector<shared_region> fresh;
+  auto d = shared_regions_since(before, fresh);
+  EXPECT_EQ(d.version, shared_region_version());
+  ASSERT_EQ(fresh.size(), 2u);
+  EXPECT_EQ(fresh[0].base, reinterpret_cast<std::uintptr_t>(buf + 512));
+  EXPECT_EQ(fresh[1].base, reinterpret_cast<std::uintptr_t>(buf + 256));
+  EXPECT_FALSE(d.aligned);
+  // Nothing new since the delta's own version.
+  EXPECT_EQ(shared_regions_since(d.version, fresh).version, d.version);
+  EXPECT_TRUE(fresh.empty());
+  // Dropping the irregular region restores the fast-bail aggregates.
+  ASSERT_TRUE(unregister_shared_region(buf + 256));
+  d = shared_regions_since(d.version, fresh);
+  EXPECT_TRUE(d.aligned);
+  EXPECT_LE(d.min_stride, 8u);
+
+  // Enough churn to trim the registration log past `before`: the delta
+  // falls back to every live entry, still in registration order.
+  constexpr std::size_t kChurn =
+      2 * futrace::detail::shared_region_registry_state::k_log_cap;
+  for (std::size_t i = 0; i < kChurn; ++i) {
+    ASSERT_TRUE(register_shared_region(buf + 128, 64, 4));
+    ASSERT_TRUE(unregister_shared_region(buf + 128));
+  }
+  ASSERT_TRUE(register_shared_region(buf, 64, 8));
+  shared_regions_since(before, fresh);
+  std::vector<std::uintptr_t> mine;
+  for (const shared_region& r : fresh) {
+    if (r.base >= reinterpret_cast<std::uintptr_t>(buf) &&
+        r.end <= reinterpret_cast<std::uintptr_t>(buf + sizeof(buf))) {
+      mine.push_back(r.base);
+    }
+  }
+  const std::vector<std::uintptr_t> expected = {
+      reinterpret_cast<std::uintptr_t>(buf + 512),
+      reinterpret_cast<std::uintptr_t>(buf)};
+  EXPECT_EQ(mine, expected);
+  EXPECT_TRUE(unregister_shared_region(buf));
+  EXPECT_TRUE(unregister_shared_region(buf + 512));
+}
+
+TEST(RegionRegistry, SpanOfFollowsInterleavedRegistrations) {
+  using futrace::detail::register_shared_region;
+  using futrace::detail::unregister_shared_region;
+  alignas(16) static unsigned char buf[256];
+  shadow_memory shadow;
+  ASSERT_TRUE(register_shared_region(buf + 128, 64, 8));
+  ASSERT_TRUE(register_shared_region(buf, 64, 8));
+  ASSERT_TRUE(register_shared_region(buf + 64, 64, 16));
+  (void)shadow.span_of(buf, 1);  // sync the three-region layout
+  EXPECT_TRUE(unregister_shared_region(buf + 64));
+  ASSERT_TRUE(register_shared_region(buf + 64, 64, 4));  // new geometry
+  // An 8-byte load at byte 66 straddles three 4-byte elements of the
+  // re-registered middle region.
+  auto span = shadow.span_of(buf + 66, 8);
+  EXPECT_EQ(span.first, buf + 64);
+  EXPECT_EQ(span.count, 3u);
+  EXPECT_EQ(span.stride, 4u);
+  // A 16-byte load at byte 132 in the last region covers three elements.
+  span = shadow.span_of(buf + 132, 16);
+  EXPECT_EQ(span.first, buf + 128);
+  EXPECT_EQ(span.count, 3u);
+  EXPECT_EQ(span.stride, 8u);
+  EXPECT_TRUE(unregister_shared_region(buf));
+  // Unregistered: no decomposition.
+  span = shadow.span_of(buf + 4, 8);
+  EXPECT_EQ(span.first, buf + 4);
+  EXPECT_EQ(span.count, 1u);
+  EXPECT_TRUE(unregister_shared_region(buf + 64));
+  EXPECT_TRUE(unregister_shared_region(buf + 128));
 }
 
 // --------------------------------------------------------- shard-clipped slabs
