@@ -24,9 +24,10 @@
 ///  - get() targets are serially feasible: generation simulates the serial
 ///    execution, so a future get names an already-elided future and a
 ///    promise get names a promise whose put already executed serially.
-///    Serial feasibility plus help-first stealing implies parallel
-///    deadlock-freedom (every blocked wait helps, and the wait-for
-///    relation follows decreasing serial positions).
+///    Serial feasibility implies parallel deadlock-freedom because a
+///    blocked wait helps only with tasks serially before its own point
+///    (DESIGN.md "Restricted helping"): the wait-for relation follows
+///    decreasing serial positions, and so does every helper stack.
 ///  - Promise handles and the future pool are (re)constructed in the root
 ///    body before any spawn, so replays can repeat on one object.
 ///

@@ -18,7 +18,13 @@
 ///
 /// Blocking operations (finish_end, future get) "help while waiting": the
 /// blocked worker drains its own deque and steals from others until its
-/// condition holds.
+/// condition holds. Helping is restricted by serial order: a blocked wait
+/// runs only tasks that lie entirely before its own point in the serial
+/// depth-first execution (compared by fork path). A helped task then can
+/// never wait on the frame buried beneath it, which is what makes the engine
+/// deadlock-free on every serially feasible program (DESIGN.md "Restricted
+/// helping"). A task a waiter may not run is parked on a shared heap,
+/// serially earliest first, that idle workers and eligible waiters drain.
 ///
 /// Failure model (see DESIGN.md "Failure model"):
 ///  - Task exceptions are captured per finish scope, first-exception-wins;
@@ -37,6 +43,7 @@
 ///  - The destructor asserts that no task was leaked: everything spawned was
 ///    either executed or accounted for as discarded at shutdown.
 
+#include <algorithm>
 #include <chrono>
 #include <mutex>
 #include <sstream>
@@ -49,6 +56,7 @@
 #include "futrace/runtime/ws_deque.hpp"
 #include "futrace/support/assert.hpp"
 #include "futrace/support/reentry.hpp"
+#include "futrace/support/small_vector.hpp"
 
 namespace futrace::detail {
 
@@ -86,8 +94,10 @@ class parallel_engine final : public engine {
     for (unsigned i = 1; i < worker_count_; ++i) {
       workers_[i]->thread = std::thread([this, i] { worker_loop(i); });
     }
-    // The calling thread is worker 0 and executes main() (task 0) directly.
-    tls_ = tl_state{this, 0, nullptr, 0};
+    // The calling thread is worker 0 and executes main() (task 0) directly;
+    // `root` carries main's fork path (empty) and child count.
+    ptask root{{}, nullptr, 0};
+    tls_ = tl_state{this, 0, nullptr, 0, &root};
     if (sink_ != nullptr) sink_->emit_program_start(0, 0);
     std::exception_ptr program_error;
     finish_begin();  // implicit finish around main()
@@ -137,6 +147,8 @@ class parallel_engine final : public engine {
                                             : task_kind::async);
     }
     auto* pt = new ptask{std::move(body), t.current_finish, id};
+    pt->path = t.current->path;
+    pt->path.push_back(t.current->children++);
     pt->ief->pending.fetch_add(1, std::memory_order_relaxed);
     live_tasks_.fetch_add(1, std::memory_order_relaxed);
     workers_[t.index]->deque.push(pt);
@@ -168,7 +180,7 @@ class parallel_engine final : public engine {
                                    &frame->pending});
       stall_clock clock(deadlock_timeout_ * 3);
       while (frame->pending.load(std::memory_order_acquire) != 0) {
-        if (!try_help() && clock.expired()) {
+        if (!try_help(t.current) && clock.expired()) {
           abandoned_frames_.fetch_add(1, std::memory_order_relaxed);
           throw deadlock_error(describe_stall(
               t.index, t.task,
@@ -279,10 +291,18 @@ class parallel_engine final : public engine {
     }
   };
 
+  /// Position in the serial depth-first order: the child ordinals on the
+  /// spawn chain from main. Almost every program nests shallowly.
+  using fork_path = support::small_vector<std::uint32_t, 8>;
+
   struct ptask {
     std::function<void()> body;
     pfinish* ief;
     task_id id;
+    fork_path path{};
+    /// Children spawned so far: with `path` this names the task's current
+    /// point in the serial order. Touched only by the thread running it.
+    std::uint32_t children = 0;
   };
 
   struct worker {
@@ -295,6 +315,7 @@ class parallel_engine final : public engine {
     unsigned index = 0;
     pfinish* current_finish = nullptr;
     task_id task = k_invalid_task;  // task currently executing on this thread
+    ptask* current = nullptr;       // its record (nullptr while idle)
   };
 
   /// One blocked wait, published so the watchdog can dump the wait graph.
@@ -369,7 +390,7 @@ class parallel_engine final : public engine {
                                    what, nullptr});
       stall_clock clock(deadlock_timeout_);
       while (!state.settled()) {
-        if (!try_help() && clock.expired()) {
+        if (!try_help(t.current) && clock.expired()) {
           std::ostringstream headline;
           headline << what << " never completed: the program has a cyclic "
                    << "future/promise dependence (deadlock, paper Appendix A) "
@@ -454,12 +475,12 @@ class parallel_engine final : public engine {
   }
 
   void worker_loop(unsigned index) {
-    tls_ = tl_state{this, index, nullptr, k_invalid_task};
+    tls_ = tl_state{this, index, nullptr, k_invalid_task, nullptr};
     // Task bodies running on this thread use the public API, which routes
     // through the ambient context; instrumentation is on iff a sink listens.
     ctx() = context{this, sink_ != nullptr};
     while (!done_.load(std::memory_order_acquire)) {
-      if (!try_help()) {
+      if (!try_help(nullptr)) {
         // Brief backoff; stealing is retried immediately after.
         std::this_thread::yield();
       }
@@ -468,12 +489,37 @@ class parallel_engine final : public engine {
     tls_ = tl_state{};
   }
 
-  bool try_help() {
+  /// True iff task `x` runs entirely before `waiter`'s current point in the
+  /// serial depth-first order, i.e. x's fork path sorts before the waiter's
+  /// path extended by its next child ordinal. Queued tasks are never the
+  /// waiter or its ancestors (those are executing), so a path that runs
+  /// through the waiter's whole path is a descendant of a child it already
+  /// spawned.
+  static bool runs_before(const ptask& x, const ptask& waiter) {
+    const std::size_t n = std::min(x.path.size(), waiter.path.size());
+    for (std::size_t i = 0; i < n; ++i) {
+      if (x.path[i] != waiter.path[i]) return x.path[i] < waiter.path[i];
+    }
+    return x.path.size() > waiter.path.size();
+  }
+
+  /// Heap order for parked_: serially earliest on top. Queued tasks are
+  /// never ancestors of one another, so their paths compare strictly.
+  static bool serially_later(const ptask* a, const ptask* b) {
+    return std::lexicographical_compare(b->path.begin(), b->path.end(),
+                                        a->path.begin(), a->path.end());
+  }
+
+  /// One help attempt. `waiter` is the task blocked on this worker, or
+  /// nullptr for an idle worker, which may run anything. A blocked waiter
+  /// runs only tasks that run_before() it; any other task it pops or steals
+  /// is parked instead, so it cannot bury the waiter beneath a task that
+  /// depends on it. Returns false when no task was found.
+  bool try_help(const ptask* waiter) {
     tl_state& t = tls_;
     if (inject::yield_site()) std::this_thread::yield();
     if (auto pt = workers_[t.index]->deque.pop()) {
-      run_task(*pt);
-      return true;
+      return run_or_park(*pt, waiter);
     }
     // Steal sweep starting from a pseudo-random victim (perturbable by the
     // fault injector to explore different steal orders).
@@ -483,19 +529,54 @@ class parallel_engine final : public engine {
       const unsigned victim = (start + k) % worker_count_;
       if (victim == t.index) continue;
       if (auto pt = workers_[victim]->deque.steal()) {
-        run_task(*pt);
-        return true;
+        return run_or_park(*pt, waiter);
       }
     }
+    if (ptask* pt = take_parked(waiter)) {
+      run_task(pt);
+      return true;
+    }
     return false;
+  }
+
+  /// Runs `pt` if `waiter` may, else parks it. Either way the attempt found
+  /// work, so the caller's stall clock does not advance.
+  bool run_or_park(ptask* pt, const ptask* waiter) {
+    if (waiter == nullptr || runs_before(*pt, *waiter)) {
+      run_task(pt);
+    } else {
+      reentry_scope reentry;  // the list's growth is engine-internal
+      std::lock_guard<std::mutex> lock(parked_mutex_);
+      parked_.push_back(pt);
+      std::push_heap(parked_.begin(), parked_.end(), serially_later);
+      parked_count_.store(parked_.size(), std::memory_order_release);
+    }
+    return true;
+  }
+
+  /// Removes and returns the serially earliest parked task if `waiter` may
+  /// run it (any, when idle). The tasks a waiter may run are exactly those
+  /// sorting before its point, so when the earliest is not one, none is.
+  ptask* take_parked(const ptask* waiter) {
+    if (parked_count_.load(std::memory_order_acquire) == 0) return nullptr;
+    std::lock_guard<std::mutex> lock(parked_mutex_);
+    if (parked_.empty()) return nullptr;
+    ptask* pt = parked_.front();
+    if (waiter != nullptr && !runs_before(*pt, *waiter)) return nullptr;
+    std::pop_heap(parked_.begin(), parked_.end(), serially_later);
+    parked_.pop_back();
+    parked_count_.store(parked_.size(), std::memory_order_release);
+    return pt;
   }
 
   void run_task(ptask* pt) {
     tl_state& t = tls_;
     pfinish* saved_finish = t.current_finish;
     const task_id saved_task = t.task;
+    ptask* saved_current = t.current;
     t.current_finish = pt->ief;
     t.task = pt->id;
+    t.current = pt;
     try {
       pt->body();
     } catch (...) {
@@ -512,6 +593,7 @@ class parallel_engine final : public engine {
     if (sink_ != nullptr) sink_->emit_task_end(t.index, pt->id);
     t.current_finish = saved_finish;
     t.task = saved_task;
+    t.current = saved_current;
     pt->ief->pending.fetch_sub(1, std::memory_order_release);
     delete pt;
     live_tasks_.fetch_sub(1, std::memory_order_release);
@@ -526,13 +608,18 @@ class parallel_engine final : public engine {
     // Discard them with full accounting so the leak assertion in the
     // destructor stays meaningful.
     for (auto& w : workers_) {
-      while (auto pt = w->deque.pop()) {
-        (*pt)->ief->pending.fetch_sub(1, std::memory_order_release);
-        delete *pt;
-        live_tasks_.fetch_sub(1, std::memory_order_release);
-        discarded_tasks_.fetch_add(1, std::memory_order_relaxed);
-      }
+      while (auto pt = w->deque.pop()) discard(*pt);
     }
+    for (ptask* pt : parked_) discard(pt);
+    parked_.clear();
+    parked_count_.store(0, std::memory_order_relaxed);
+  }
+
+  void discard(ptask* pt) {
+    pt->ief->pending.fetch_sub(1, std::memory_order_release);
+    delete pt;
+    live_tasks_.fetch_sub(1, std::memory_order_release);
+    discarded_tasks_.fetch_add(1, std::memory_order_relaxed);
   }
 
   const unsigned worker_count_;
@@ -550,6 +637,12 @@ class parallel_engine final : public engine {
 
   std::mutex wait_mutex_;
   std::vector<std::vector<wait_record>> waits_;  // per-worker nested waits
+
+  // Tasks a blocked waiter took but may not run (see try_help); a heap
+  // under serially_later.
+  std::mutex parked_mutex_;
+  std::vector<ptask*> parked_;
+  std::atomic<std::size_t> parked_count_{0};
 
   static thread_local tl_state tls_;
 };

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <functional>
 #include <numeric>
 #include <thread>
@@ -255,6 +256,68 @@ TEST(ParallelEngine, StressManySmallTasksRepeated) {
       });
     });
     EXPECT_EQ(sum.load(), 2000L * 2001 / 2);
+  }
+}
+
+// A blocked get() must not help with a task that comes after it in serial
+// order: if that task waits on the blocked task's continuation, it sits above
+// the waiter on the same stack and neither can finish. The schedule forces
+// the trap: X holds one worker, A blocks on X on another, and B (serially
+// after A, waiting on A's put) is spawned while A's worker is the only one
+// looking for work. The program is serially feasible, as the serial run
+// shows.
+TEST(ParallelEngine, BlockedWaitNeverRunsATaskThatWaitsOnIt) {
+  for (exec_mode mode : {exec_mode::serial_dfs, exec_mode::parallel}) {
+    SCOPED_TRACE(exec_mode_name(mode));
+    runtime rt({.mode = mode, .workers = 3, .deadlock_timeout_ms = 2000});
+    std::atomic<bool> a_started{false};
+    std::atomic<bool> b_started{false};
+    int got = 0;
+    EXPECT_NO_THROW(rt.run([&] {
+      promise<int> q;
+      auto x = async_future([] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        return 1;
+      });
+      auto a = async_future([x, &q, &a_started] {
+        a_started.store(true);
+        const int v = x.get();
+        q.put(v + 1);
+        return v;
+      });
+      while (!a_started.load()) std::this_thread::yield();
+      auto b = async_future([&q, &b_started] {
+        b_started.store(true);
+        return q.get();
+      });
+      while (!b_started.load()) std::this_thread::yield();
+      got = b.get() + a.get();
+    }));
+    EXPECT_EQ(got, 3);
+  }
+}
+
+// Each stage waits on its predecessor's promise, so a waiter that helped
+// with a later stage would bury itself under a task waiting on it.
+TEST(ParallelEngine, PromisePipelineCompletesAtEveryWorkerCount) {
+  constexpr int kStages = 24;
+  for (unsigned workers = 1; workers <= 4; ++workers) {
+    for (int round = 0; round < 25; ++round) {
+      runtime rt({.mode = exec_mode::parallel, .workers = workers,
+                  .deadlock_timeout_ms = 5000});
+      int result = -1;
+      rt.run([&result] {
+        std::vector<promise<int>> links(kStages + 1);
+        finish([&links] {
+          for (int i = 1; i <= kStages; ++i) {
+            async([&links, i] { links[i].put(links[i - 1].get() + 1); });
+          }
+          links[0].put(0);
+        });
+        result = links[kStages].get();
+      });
+      EXPECT_EQ(result, kStages) << workers << " workers, round " << round;
+    }
   }
 }
 
