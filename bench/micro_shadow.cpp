@@ -81,9 +81,10 @@ BENCHMARK(BM_ShadowDirectAccess);
 // Registration cost as seen from the access path: R arrays registered one
 // at a time into a shadow pre-sized like a big workload's (a large, empty
 // hashed table), each followed by one access that mirrors the new range
-// into a slab. Items are registrations, so per-item time should stay flat
-// as R grows: the slab build must not sweep the reserved table, and the
-// resync must not re-sort or re-mirror the regions already live.
+// into a slab. Items are registrations: the slab build must not sweep the
+// reserved table, and the resync must not re-sort or re-mirror the regions
+// already live, so what per-item time gains as R grows is only the resync's
+// flat copy of the live list.
 void BM_RegisterRegions(benchmark::State& state) {
   const auto regions = static_cast<std::size_t>(state.range(0));
   std::vector<std::vector<int>> arrays(regions, std::vector<int>(64));

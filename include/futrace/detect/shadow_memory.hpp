@@ -452,10 +452,6 @@ class shadow_memory {
         (size & (size - 1)) == 0 && (a & (size - 1)) == 0) {
       return access_span{addr, 1, size};
     }
-    if (geoms_stale_) {
-      geoms_ = detail::shared_region_snapshot();
-      geoms_stale_ = false;
-    }
     const auto it = std::upper_bound(
         geoms_.begin(), geoms_.end(), a,
         [](std::uintptr_t key, const detail::shared_region& g) {
@@ -583,7 +579,10 @@ class shadow_memory {
       }
       retired_locations_ += touched;
       slab_bytes_ -= r.cells.size() * sizeof(shadow_cell);
-      forget_registration(r.region_key);
+      // Only slabs no live region overlaps retire here, so no live entry
+      // shares this key and nothing needs re-mirroring (unlike
+      // retire_region).
+      mirrored_regions_.erase(r.region_key);
       ranges_.erase(ranges_.begin() + static_cast<std::ptrdiff_t>(i));
       ++retired;
     }
@@ -662,7 +661,11 @@ class shadow_memory {
       retired_locations_ += touched;
       retired += touched;
       slab_bytes_ -= r.cells.size() * sizeof(shadow_cell);
-      forget_registration(r.region_key);
+      // The block's registration may still be live, and then it must be
+      // mirrored again: the next sync looks at every live entry, not only
+      // the ones registered since the last sync.
+      mirrored_regions_.erase(r.region_key);
+      remirror_all_ = true;
       ranges_.erase(ranges_.begin() + static_cast<std::ptrdiff_t>(i));
       slabs_changed = true;
     }
@@ -746,15 +749,6 @@ class shadow_memory {
     }
   }
 
-  /// Drops a registration from the seen-set so an identical re-registration
-  /// gets a fresh slab. A still-live registration with that key must be
-  /// re-mirrored too, so the next sync looks at every live entry, not only
-  /// the ones registered since the last sync.
-  void forget_registration(std::uint64_t key) {
-    mirrored_regions_.erase(key);
-    remirror_all_ = true;
-  }
-
   /// Upper bound of `a` in a base-sorted slab list.
   template <typename Ranges>
   static auto first_slab_above(Ranges& ranges, std::uintptr_t a)
@@ -802,21 +796,25 @@ class shadow_memory {
     return &r->cells[(a - r->base) >> r->shift];
   }
 
-  /// Catches up with the registry: the live geometry aggregates, plus the
-  /// seen-set and slab build for each entry registered since the last sync
-  /// (or every live entry, after a retire forgot a key), in registration
-  /// order. Costs O(new entries), not O(live regions).
+  /// Catches up with the registry: copies the base-sorted live set for
+  /// span_of() and recomputes its aggregates in one pass, and runs the
+  /// seen-set and slab build only for entries registered since the last
+  /// sync (or for every live entry, after retire_region forgot a key).
   void sync_regions() {
-    const detail::shared_region_delta d = detail::shared_regions_since(
-        remirror_all_ ? 0 : region_version_seen_, fresh_regions_);
+    const std::uint64_t version = detail::shared_region_version();
+    const std::uint64_t since = remirror_all_ ? 0 : region_version_seen_;
     // Element-geometry mirror for span_of(): the *live* regions only —
     // decomposition follows the current registration, while slabs keep
-    // their never-forget policy. Only the aggregates are needed on the
-    // fast path; span_of's slow path refreshes the list itself.
-    min_geom_stride_ = d.min_stride;
-    geoms_aligned_ = d.aligned;
-    geoms_stale_ = true;
-    for (const detail::shared_region& reg : fresh_regions_) {
+    // their never-forget policy.
+    detail::shared_region_snapshot(geoms_);
+    min_geom_stride_ = static_cast<std::size_t>(-1);
+    geoms_aligned_ = true;
+    for (const detail::shared_region& reg : geoms_) {
+      if (reg.stride < min_geom_stride_) min_geom_stride_ = reg.stride;
+      geoms_aligned_ = geoms_aligned_ && reg.stride != 0 &&
+                       (reg.stride & (reg.stride - 1)) == 0 &&
+                       (reg.base & (reg.stride - 1)) == 0;
+      if (reg.version <= since) continue;
       // Seen-set keyed on the full geometry: re-registering an identical
       // range (address reuse by an identical array) silently reuses its
       // slab, while a geometry change at the same address goes through
@@ -825,7 +823,7 @@ class shadow_memory {
       if (!mirrored_regions_.insert(region_key(reg)).second) continue;
       if (direct_enabled_) try_build_slab(reg);
     }
-    region_version_seen_ = d.version;
+    region_version_seen_ = version;
     remirror_all_ = false;
   }
 
@@ -962,12 +960,10 @@ class shadow_memory {
   support::ptr_map<shadow_cell> cells_;
   std::vector<direct_range> ranges_;
   std::vector<detail::shared_region> geoms_;  // live regions, base-sorted
-  bool geoms_stale_ = true;  // geoms_ predates the last sync
-  std::vector<detail::shared_region> fresh_regions_;  // sync_regions scratch
   std::size_t min_geom_stride_ = static_cast<std::size_t>(-1);
   bool geoms_aligned_ = true;  // all strides pow2, all bases stride-aligned
   std::unordered_set<std::uint64_t> mirrored_regions_;
-  bool remirror_all_ = false;  // a retire forgot a key: next sync sees all
+  bool remirror_all_ = false;  // retire_region forgot a key: resync all
   std::size_t mru_range_ = 0;
   const void* mru_addr_ = nullptr;     // one-slot hashed-tier MRU
   shadow_cell* mru_cell_ = nullptr;

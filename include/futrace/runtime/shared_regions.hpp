@@ -16,13 +16,13 @@
 /// search plus a shift of the sorted vector under the mutex (R = live
 /// regions). The shadow side of the cost is *not* paid at construction: it
 /// runs lazily inside the next access of every shadow instance, so it is
-/// charged to the access path (`detect.access_ms`). That resync asks
-/// shared_regions_since() for the live entries registered since the
-/// shadow's last sync, found through a bounded log of recent registrations,
-/// plus the live set's geometry aggregates kept here — O(k log R) for k new
-/// entries, with no copy or scan of the R live ones. Each new entry then
-/// costs its slab build: O(log slabs), plus a hashed-table scan only when
-/// that table holds keys inside the new range (shadow_memory.hpp).
+/// charged to the access path (`detect.access_ms`). That resync copies the
+/// base-sorted snapshot and recomputes its geometry aggregates in one O(R)
+/// pass — a flat copy, no sort or hashing — and mirrors only the k entries
+/// whose version is newer than the shadow's last sync. Each of those costs
+/// a seen-set insert and a slab build: O(log slabs), plus a hashed-table
+/// scan only when that table holds keys inside the new range
+/// (shadow_memory.hpp).
 ///
 /// The registry records *live* ranges only. Shadow memory keeps any slab it
 /// already built even after the range is unregistered — the same
@@ -41,9 +41,7 @@
 /// shadow instance a resynchronization on its next access.
 
 #include <algorithm>
-#include <array>
 #include <atomic>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
@@ -73,35 +71,6 @@ inline std::atomic<std::uint64_t> g_shared_region_version{1};
 struct shared_region_registry_state {
   std::mutex mu;
   std::vector<shared_region> regions;  // live, sorted by base, disjoint
-  /// Registrations in version order, live or not, so a shadow can catch up
-  /// without scanning `regions`. Trimmed by halves; `log_floor` is the last
-  /// version trimmed away, and a shadow older than it rescans `regions`.
-  std::vector<shared_region> log;
-  std::uint64_t log_floor = 0;
-  /// Geometry aggregates of the live set (span_of's fast bail): live
-  /// regions per log2 of a power-of-two stride with a stride-aligned base,
-  /// and the count of all other ("irregular") live regions.
-  std::array<std::size_t, 32> regular_strides{};
-  std::size_t irregular = 0;
-
-  /// A shadow that falls more than half this far behind rescans instead.
-  static constexpr std::size_t k_log_cap = 512;
-
-  void count(const shared_region& r, bool live) noexcept {
-    const bool regular =
-        (r.stride & (r.stride - 1)) == 0 && (r.base & (r.stride - 1)) == 0;
-    std::size_t& n =
-        regular ? regular_strides[std::countr_zero(r.stride)] : irregular;
-    n = live ? n + 1 : n - 1;
-  }
-
-  /// The live entry with base `b`, or nullptr.
-  const shared_region* find(std::uintptr_t b) const noexcept {
-    const auto it = std::lower_bound(
-        regions.begin(), regions.end(), b,
-        [](const shared_region& g, std::uintptr_t key) { return g.base < key; });
-    return it != regions.end() && it->base == b ? &*it : nullptr;
-  }
 };
 
 inline shared_region_registry_state& shared_region_state() {
@@ -134,22 +103,10 @@ inline bool register_shared_region(const void* base, std::size_t bytes,
   if (pos != st.regions.begin() && r.overlaps(*std::prev(pos))) return false;
   r.version = g_shared_region_version.load(std::memory_order_relaxed) + 1;
   try {
-    st.log.push_back(r);
-  } catch (...) {
-    return false;
-  }
-  try {
     st.regions.insert(pos, r);
   } catch (...) {
-    st.log.pop_back();
     return false;
   }
-  if (st.log.size() >= shared_region_registry_state::k_log_cap) {
-    const auto half = static_cast<std::ptrdiff_t>(st.log.size() / 2);
-    st.log_floor = st.log[static_cast<std::size_t>(half) - 1].version;
-    st.log.erase(st.log.begin(), st.log.begin() + half);
-  }
-  st.count(r, true);
   g_shared_region_version.fetch_add(1, std::memory_order_release);
   return true;
 }
@@ -162,11 +119,12 @@ inline bool unregister_shared_region(const void* base) noexcept {
   const std::uintptr_t b = reinterpret_cast<std::uintptr_t>(base);
   auto& st = shared_region_state();
   std::lock_guard<std::mutex> lock(st.mu);
-  const shared_region* live = st.find(b);
-  if (live == nullptr) return false;
-  st.count(*live, false);
+  const auto it = std::lower_bound(
+      st.regions.begin(), st.regions.end(), b,
+      [](const shared_region& g, std::uintptr_t key) { return g.base < key; });
+  if (it == st.regions.end() || it->base != b) return false;
   // Order-preserving: the list stays sorted.
-  st.regions.erase(st.regions.begin() + (live - st.regions.data()));
+  st.regions.erase(it);
   g_shared_region_version.fetch_add(1, std::memory_order_release);
   return true;
 }
@@ -175,60 +133,18 @@ inline std::uint64_t shared_region_version() noexcept {
   return g_shared_region_version.load(std::memory_order_acquire);
 }
 
-/// The live ranges, base-sorted.
-inline std::vector<shared_region> shared_region_snapshot() {
+/// Copies the live ranges, base-sorted, into `out`, reusing its capacity.
+inline void shared_region_snapshot(std::vector<shared_region>& out) {
   auto& st = shared_region_state();
   std::lock_guard<std::mutex> lock(st.mu);
-  return st.regions;
+  out.assign(st.regions.begin(), st.regions.end());
 }
 
-/// What a shadow needs to catch up with the registry, read under one lock.
-struct shared_region_delta {
-  std::uint64_t version = 0;  // the registry version this delta reaches
-  /// Smallest live stride; meaningful only when `aligned`.
-  std::size_t min_stride = static_cast<std::size_t>(-1);
-  /// Every live stride is a power of two and every live base is aligned
-  /// to its stride.
-  bool aligned = true;
-};
-
-/// Fills `fresh` with the live entries registered after version `since`,
-/// in registration order, and returns the live set's geometry aggregates.
-/// Pass `since = 0` for every live entry. Costs O(k log R) for k entries
-/// registered since then, or an O(R log R) rescan when `since` predates
-/// the log.
-inline shared_region_delta shared_regions_since(
-    std::uint64_t since, std::vector<shared_region>& fresh) {
-  auto& st = shared_region_state();
-  std::lock_guard<std::mutex> lock(st.mu);
-  shared_region_delta d;
-  d.version = g_shared_region_version.load(std::memory_order_relaxed);
-  d.aligned = st.irregular == 0;
-  for (std::size_t i = 0; i < st.regular_strides.size(); ++i) {
-    if (st.regular_strides[i] != 0) {
-      d.min_stride = std::size_t{1} << i;
-      break;
-    }
-  }
-  fresh.clear();
-  if (since < st.log_floor) {
-    fresh.assign(st.regions.begin(), st.regions.end());
-    std::sort(fresh.begin(), fresh.end(),
-              [](const shared_region& x, const shared_region& y) {
-                return x.version < y.version;
-              });
-    return d;
-  }
-  auto it = std::upper_bound(
-      st.log.begin(), st.log.end(), since,
-      [](std::uint64_t key, const shared_region& g) { return key < g.version; });
-  for (; it != st.log.end(); ++it) {
-    // Unregistered since (or replaced by a later registration at the same
-    // base, which the log lists on its own): skip.
-    const shared_region* live = st.find(it->base);
-    if (live != nullptr && live->version == it->version) fresh.push_back(*it);
-  }
-  return d;
+/// The live ranges, base-sorted.
+inline std::vector<shared_region> shared_region_snapshot() {
+  std::vector<shared_region> out;
+  shared_region_snapshot(out);
+  return out;
 }
 
 // -------------------------------------------------- heap-block side table

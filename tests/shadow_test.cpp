@@ -622,57 +622,54 @@ TEST(RegionRegistry, MiddleUnregisterAndBadUnregisters) {
   EXPECT_TRUE(unregister_shared_region(b + 64));
 }
 
-TEST(RegionRegistry, SinceListsLiveNewcomersInRegistrationOrder) {
+TEST(RegionRegistry, EntriesCarryVersionAndSyncFollowsTheLiveSet) {
   using futrace::detail::register_shared_region;
-  using futrace::detail::shared_region;
   using futrace::detail::shared_region_version;
-  using futrace::detail::shared_regions_since;
   using futrace::detail::unregister_shared_region;
   alignas(64) static unsigned char buf[1024];
+  const auto at = [](const unsigned char* p) {
+    return reinterpret_cast<std::uintptr_t>(p);
+  };
   const std::uint64_t before = shared_region_version();
   ASSERT_TRUE(register_shared_region(buf + 512, 64, 8));
   ASSERT_TRUE(register_shared_region(buf, 64, 8));
+  ASSERT_TRUE(unregister_shared_region(buf));
   ASSERT_TRUE(register_shared_region(buf + 256, 60, 12));  // irregular
-  ASSERT_TRUE(unregister_shared_region(buf));  // gone before any sync
-  std::vector<shared_region> fresh;
-  auto d = shared_regions_since(before, fresh);
-  EXPECT_EQ(d.version, shared_region_version());
-  ASSERT_EQ(fresh.size(), 2u);
-  EXPECT_EQ(fresh[0].base, reinterpret_cast<std::uintptr_t>(buf + 512));
-  EXPECT_EQ(fresh[1].base, reinterpret_cast<std::uintptr_t>(buf + 256));
-  EXPECT_FALSE(d.aligned);
-  // Nothing new since the delta's own version.
-  EXPECT_EQ(shared_regions_since(d.version, fresh).version, d.version);
-  EXPECT_TRUE(fresh.empty());
-  // Dropping the irregular region restores the fast-bail aggregates.
-  ASSERT_TRUE(unregister_shared_region(buf + 256));
-  d = shared_regions_since(d.version, fresh);
-  EXPECT_TRUE(d.aligned);
-  EXPECT_LE(d.min_stride, 8u);
+  // Each entry keeps the version its own registration produced.
+  const auto snap = entries_within(buf, buf + sizeof(buf));
+  ASSERT_EQ(snap.size(), 2u);
+  EXPECT_EQ(snap[0].base, at(buf + 256));
+  EXPECT_EQ(snap[0].version, before + 4);
+  EXPECT_EQ(snap[1].base, at(buf + 512));
+  EXPECT_EQ(snap[1].version, before + 1);
+  EXPECT_EQ(shared_region_version(), before + 4);
 
-  // Enough churn to trim the registration log past `before`: the delta
-  // falls back to every live entry, still in registration order.
-  constexpr std::size_t kChurn =
-      2 * futrace::detail::shared_region_registry_state::k_log_cap;
-  for (std::size_t i = 0; i < kChurn; ++i) {
-    ASSERT_TRUE(register_shared_region(buf + 128, 64, 4));
-    ASSERT_TRUE(unregister_shared_region(buf + 128));
-  }
-  ASSERT_TRUE(register_shared_region(buf, 64, 8));
-  shared_regions_since(before, fresh);
-  std::vector<std::uintptr_t> mine;
-  for (const shared_region& r : fresh) {
-    if (r.base >= reinterpret_cast<std::uintptr_t>(buf) &&
-        r.end <= reinterpret_cast<std::uintptr_t>(buf + sizeof(buf))) {
-      mine.push_back(r.base);
-    }
-  }
-  const std::vector<std::uintptr_t> expected = {
-      reinterpret_cast<std::uintptr_t>(buf + 512),
-      reinterpret_cast<std::uintptr_t>(buf)};
-  EXPECT_EQ(mine, expected);
-  EXPECT_TRUE(unregister_shared_region(buf));
+  shadow_memory shadow;
+  // The irregular region clears the aligned fast bail: an aligned 8-byte
+  // load at byte 8 still straddles its first two 12-byte elements.
+  auto span = shadow.span_of(buf + 264, 8);
+  EXPECT_EQ(span.first, buf + 256);
+  EXPECT_EQ(span.count, 2u);
+  EXPECT_EQ(span.stride, 12u);
+  const std::uint64_t built = shadow.stats().slabs_built;
+  // Dropping it restores the fast bail; registering one more region builds
+  // exactly one more slab on the next sync.
+  ASSERT_TRUE(unregister_shared_region(buf + 256));
+  ASSERT_TRUE(register_shared_region(buf + 640, 64, 8));
+  span = shadow.span_of(buf + 264, 8);
+  EXPECT_EQ(span.first, buf + 264);
+  EXPECT_EQ(span.count, 1u);
+  EXPECT_EQ(shadow.stats().slabs_built, built + 1);
+  // A power-of-two stride on a misaligned base clears the fast bail too:
+  // an aligned 4-byte load at byte 776 sits in the element at byte 772.
+  ASSERT_TRUE(register_shared_region(buf + 772, 64, 8));
+  span = shadow.span_of(buf + 776, 4);
+  EXPECT_EQ(span.first, buf + 772);
+  EXPECT_EQ(span.count, 1u);
+  EXPECT_EQ(span.stride, 8u);
   EXPECT_TRUE(unregister_shared_region(buf + 512));
+  EXPECT_TRUE(unregister_shared_region(buf + 640));
+  EXPECT_TRUE(unregister_shared_region(buf + 772));
 }
 
 TEST(RegionRegistry, SpanOfFollowsInterleavedRegistrations) {
