@@ -46,10 +46,7 @@ struct row_result {
   futrace::detect::pipeline_stats pipe{};
   bool pipe_mode = false;  // row ran with --detect-threads > 0
   bool parallel_mode = false;  // row ran with --exec=parallel-detect
-  bool shared_structure = false;  // row ran with --structure=shared
-  // Reachability-structure footprint: one graph under --structure=shared,
-  // the sum over checker replicas under replicated (the CI memory gate
-  // compares the two on Jacobi at W=4).
+  // Reachability-structure footprint: the sum over checker replicas.
   std::size_t structure_bytes = 0;
   unsigned workers = 0;        // engine workers in parallel mode
   double seq_ms = 0;
@@ -87,9 +84,6 @@ struct bench_config {
   unsigned workers = 4;         // --threads: engine workers in parallel mode
   futrace::dsr::backend_kind backend = futrace::dsr::backend_kind::graph;
   std::string trace_path;       // --trace=FILE: Chrome trace of the last rep
-  // --structure: reachability-structure ownership in parallel-detect mode.
-  futrace::detect::structure_mode structure =
-      futrace::detect::structure_mode::replicated;
   bool instrument_heap = false;  // --instrument-heap: allocator hooks armed
 };
 
@@ -127,9 +121,6 @@ row_result run_row(const std::string& name, Make make,
   row.pipe_mode = cfg.detect_threads > 0;
   row.parallel_mode = cfg.exec_parallel;
   row.workers = cfg.exec_parallel ? cfg.workers : 0;
-  row.shared_structure =
-      cfg.exec_parallel &&
-      cfg.structure == futrace::detect::structure_mode::shared;
 
   if (cfg.exec_parallel) {
     // Parallel-execution detection: the workload runs for real on the
@@ -151,8 +142,6 @@ row_result run_row(const std::string& name, Make make,
     }
 
     sample_set det_times;
-    futrace::detect::parallel_detector::tuning tune;
-    tune.structure = cfg.structure;
     for (int r = 0; r < cfg.repeats; ++r) {
       auto w = make();
       // Only the final repetition traces (execution lanes come from the
@@ -160,7 +149,7 @@ row_result run_row(const std::string& name, Make make,
       // serial branch's one-clean-run policy.
       det_opts.trace_path =
           r == cfg.repeats - 1 ? cfg.trace_path : std::string();
-      futrace::detect::parallel_detector det(det_opts, tune);
+      futrace::detect::parallel_detector det(det_opts);
       futrace::runtime rt({.mode = futrace::exec_mode::parallel_detect,
                            .workers = cfg.workers});
       rt.add_parallel_sink(&det);
@@ -234,7 +223,6 @@ futrace::support::json row_to_json(const row_result& r) {
   row["slowdown"] = r.slowdown();
   if (r.parallel_mode) {
     row["workers"] = static_cast<std::uint64_t>(r.workers);
-    row["structure"] = r.shared_structure ? "shared" : "replicated";
     // Allocator- and mode-dependent; bench_diff classifies it advisory.
     row["structure_bytes"] = static_cast<std::uint64_t>(r.structure_bytes);
     row["serial_racedet_ms"] = r.serial_racedet_ms;
@@ -281,10 +269,6 @@ int main(int argc, char** argv) {
               "the work-stealing engine, detect concurrently)")
       .define("threads", "4",
               "engine workers for --exec=parallel-detect")
-      .define("structure", "replicated",
-              "parallel-detect reachability-structure ownership: replicated "
-              "(per-checker graph replicas) or shared (one graph behind a "
-              "single-writer structure thread; W× less structure CPU/RSS)")
       .define("precede-backend", "graph",
               "PRECEDE backend: graph (paper search), depa (fork-path "
               "labels), vc (vector clocks)")
@@ -319,19 +303,6 @@ int main(int argc, char** argv) {
   cfg.workers = static_cast<unsigned>(flags.get_int("threads"));
   if (cfg.exec_parallel && cfg.workers == 0) {
     std::fprintf(stderr, "--exec=parallel-detect needs --threads >= 1\n");
-    return 2;
-  }
-  const std::string structure = flags.get_string("structure");
-  if (structure == "shared") {
-    cfg.structure = futrace::detect::structure_mode::shared;
-  } else if (structure != "replicated") {
-    std::fprintf(stderr, "unknown --structure '%s' (replicated, shared)\n",
-                 structure.c_str());
-    return 2;
-  }
-  if (cfg.structure == futrace::detect::structure_mode::shared &&
-      !cfg.exec_parallel) {
-    std::fprintf(stderr, "--structure=shared needs --exec=parallel-detect\n");
     return 2;
   }
   if (cfg.exec_parallel && cfg.detect_threads > 0) {
@@ -503,10 +474,6 @@ int main(int argc, char** argv) {
     doc["exec"] = cfg.exec_parallel ? "parallel-detect" : "serial";
     if (cfg.exec_parallel) {
       doc["threads"] = static_cast<std::uint64_t>(cfg.workers);
-      doc["structure"] =
-          cfg.structure == futrace::detect::structure_mode::shared
-              ? "shared"
-              : "replicated";
     }
     doc["backend"] = futrace::dsr::backend_kind_name(cfg.backend);
     if (instrument_heap) {

@@ -45,23 +45,6 @@
 /// replay inline on the main thread. Sticky, counted, never a lost event.
 /// options::fail_fast is forced off (the first-race throw is only
 /// meaningful on the execution thread of a serial run).
-///
-/// structure_mode::shared (DESIGN.md §15) replaces the per-checker graph
-/// replicas with ONE reachability graph + PRECEDE backend owned by a
-/// dedicated single-writer structure thread. Producers route structure
-/// events to that thread alone (P structure rings instead of a P×W
-/// broadcast); it applies them in serial DFS-replay order and publishes a
-/// monotonically increasing *admitted position*. Checkers consume only
-/// access events, each tagged with its per-pid structure ordinal, wait
-/// until the admitted position covers the access's structural
-/// prerequisites, and then issue read-only PRECEDE queries against the
-/// shared graph (lock-free on capable backends, mutex-fallback otherwise).
-/// The writer applies the next structure event only once every shard has
-/// finished the current run, so readers never observe a partially-applied
-/// structure event and epoch compaction stays writer-side, fenced by the
-/// admitted position. Structure CPU drops from W× to 1× and graph RSS from
-/// W replicas to one; verdicts, reports, and paper counters remain
-/// bit-identical to the serial inline run.
 
 #include <cstdint>
 #include <memory>
@@ -92,25 +75,6 @@ struct parallel_pipeline_stats {
   /// Events replayed inline on the main thread at finalize (takeover after
   /// checker death or spill mode).
   std::uint64_t takeover_events = 0;
-  /// Structure events applied by the shared-structure writer (zero under
-  /// structure_mode::replicated).
-  std::uint64_t structure_events = 0;
-  /// 1 iff the shared-structure writer thread died (fault injection or an
-  /// escaped exception) and finalize completed the replay on the main
-  /// thread. Sets k_degraded_worker_death, like a checker death.
-  std::uint64_t structure_writer_died = 0;
-};
-
-/// Who owns the reachability structure in parallel-detect mode.
-enum class structure_mode : std::uint8_t {
-  /// Every checker replays the full structure stream into a private graph
-  /// replica (the PR-8 design): no cross-checker coordination, W× structure
-  /// CPU and graph memory.
-  replicated,
-  /// One shared graph + backend behind a single-writer structure thread;
-  /// checkers fence on the admitted position and query read-only
-  /// (DESIGN.md §15). Structure CPU and graph RSS drop to 1×.
-  shared,
 };
 
 /// The parallel_sink implementation: attach with runtime::add_parallel_sink
@@ -128,10 +92,6 @@ class parallel_detector final : public detail::parallel_sink {
     unsigned checkers = 0;
     /// log2 of the address-chunk size dealt round-robin to shards.
     unsigned chunk_shift = k_default_chunk_shift;
-    /// Reachability-structure ownership (--structure=shared|replicated).
-    /// Replicated remains the default: it needs no inter-checker fencing,
-    /// so existing baselines and CI gates keep their profile.
-    structure_mode structure = structure_mode::replicated;
   };
 
   explicit parallel_detector(race_detector::options opts = {});
@@ -179,10 +139,8 @@ class parallel_detector final : public detail::parallel_sink {
   std::vector<const void*> racy_locations() const;
   detector_counters counters() const;
   std::size_t memory_bytes() const;
-  /// Footprint of the reachability structure(s) alone: the one shared
-  /// graph + backend under structure_mode::shared, or the sum over the W
-  /// checker replicas under replicated — the quantity shared mode
-  /// collapses from W× to 1× (asserted in tests and the CI memory gate).
+  /// Footprint of the reachability structures alone: the sum over the W
+  /// checker replicas (each holds a full graph + PRECEDE backend).
   std::size_t structure_bytes() const;
   /// Transport fill/backpressure counters in the pipeline's schema (workers
   /// = checker threads); advisory, shared with obs::pipe_json.

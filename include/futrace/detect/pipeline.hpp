@@ -67,17 +67,6 @@ struct pipeline_stats {
   /// error: verdicts stay exact, overlap is lost for the affected shard.
   std::uint64_t inline_fallbacks = 0;
   std::uint64_t workers_died = 0;
-  // -- shared-structure mode (parallel_pipeline.hpp, --structure=shared);
-  //    zero in every other configuration.
-  /// Max runs the writer's admitted position was ahead of the slowest
-  /// shard's next run when a checker sampled it (pipeline depth, in runs).
-  std::uint64_t structure_admit_lag_max = 0;
-  /// Checker spins waiting for the admitted position to cover an access's
-  /// structural prerequisites (plus writer spins at the run fence).
-  std::uint64_t checker_wait_spins = 0;
-  /// Bytes of the one shared reachability graph + PRECEDE backend — the
-  /// memory that was W-fold under replication.
-  std::uint64_t shared_graph_bytes = 0;
 
   /// Mean sampled ring occupancy as a percentage of capacity.
   double occupancy_pct() const noexcept {

@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -250,47 +249,6 @@ class race_detector final : public execution_observer {
   /// address sharding already makes each of those unique to one worker.
   void set_trace_muted(bool on) noexcept { trace_muted_ = on; }
 
-  // -- shared-structure checker mode (parallel_pipeline.hpp) ------------------
-  /// Binds this (checker-side) detector to a structure owner's graph +
-  /// backend (--structure=shared, DESIGN.md §15). The checker then receives
-  /// NO structure events at all: PRECEDE queries, joinability, witness
-  /// provenance, and graph degradation all route to `owner`, whose mutable
-  /// query paths are serialized by `mutex`. The caller guarantees the owner
-  /// is quiescent — no structure event mid-application — whenever this
-  /// detector processes accesses (the pipeline's admitted-position
-  /// lockstep). Must be called before the first access event.
-  void attach_shared_structure(race_detector* owner,
-                               std::mutex* mutex) noexcept {
-    shared_owner_ = owner;
-    shared_mutex_ = mutex;
-  }
-
-  /// Shared-structure checkers adopt the owner's step counter at every run
-  /// boundary (`owner_step` = the owner's current_step() after applying the
-  /// run's structure event). The owner bumps exactly where the serial
-  /// detector's own bump_step() fires, so the checker's (task, step) stamps
-  /// — and therefore stamp elision and the PRECEDE query count — are
-  /// bit-compatible with the serial run.
-  void note_run_boundary(std::uint64_t owner_step) noexcept {
-    step_ = owner_step;
-    if (step_ >= (1ull << 31)) stamp_enabled_ = false;
-    step_low_ = static_cast<std::uint32_t>(step_) & 0x7FFFFFFFu;
-  }
-
-  /// The serial step counter (bumped at every structure event); recorded by
-  /// the shared-structure writer into each run-table entry.
-  std::uint64_t current_step() const noexcept { return step_; }
-
-  /// This shard's PRECEDE query count (shared-structure mode); the merged
-  /// PrecedeQueries is the sum over shards, bit-identical to serial.
-  std::uint64_t shared_queries() const noexcept { return shared_queries_; }
-
-  /// Shared queries that could not be answered lock-free and fell back to
-  /// the structure mutex (diagnostic; 100% for the graph backend).
-  std::uint64_t shared_lock_fallbacks() const noexcept {
-    return shared_lock_fallbacks_;
-  }
-
   /// Worker-side scalar access entry points: like on_read/on_write with
   /// assume-canonical in force (`addr` is the canonical element base), but
   /// carrying the address the program actually touched so reports keep
@@ -329,7 +287,7 @@ class race_detector final : public execution_observer {
   /// queryable, but reports after the degradation point are incomplete.
   /// Excludes the benign error-limit reason (see degradation_reasons()).
   bool degraded() const noexcept {
-    return structure_degraded() || shadow_.degraded();
+    return graph_degraded_ || shadow_.degraded();
   }
 
   /// Bitmask of degradation_reason explaining degraded(), plus the benign
@@ -337,7 +295,7 @@ class race_detector final : public execution_observer {
   std::uint32_t degradation_reasons() const noexcept {
     std::uint32_t r = 0;
     if (shadow_.degraded()) r |= k_degraded_shadow_cap;
-    if (structure_degraded()) r |= k_degraded_graph_cap;
+    if (graph_degraded_) r |= k_degraded_graph_cap;
     if (error_limited_) r |= k_degraded_error_limit;
     return r;
   }
@@ -399,31 +357,12 @@ class race_detector final : public execution_observer {
   /// compaction (retired readers are ordered, hence removed, first), so the
   /// retired answer is a conservative placeholder.
   bool is_joinable(task_id t) const {
-    if (shared_owner_ != nullptr) return shared_owner_->is_joinable(t);
     const dsr::task_id i = graph_.id_map().to_index(t);
     if (i == dsr::k_invalid_task) return false;
     return kinds_[i] == task_kind::future || put_flags_[i];
   }
 
  private:
-  /// The graph-degradation flag that governs this detector's access checks:
-  /// a shared-structure checker's own graph never degrades (it sees no
-  /// structure events), so it reads the owner's flag — which only mutates
-  /// at structure events, i.e. while this detector is fenced out.
-  bool structure_degraded() const noexcept {
-    return shared_owner_ != nullptr ? shared_owner_->graph_degraded_
-                                    : graph_degraded_;
-  }
-
-  /// PRECEDE via the owning structure when attached (lock-free backend
-  /// subset first, then the structure mutex), or this detector's own
-  /// backend otherwise. Counts exactly like precede_backend::precedes so
-  /// per-shard sums reproduce the serial PrecedeQueries.
-  bool backend_precedes(task_id a, task_id b);
-
-  /// explain() against the structure that actually answered the queries —
-  /// the owner's graph (under the structure mutex) when attached.
-  dsr::precede_explanation explain_structure(task_id first, task_id second);
   /// `addr` is the canonical shadow-cell base (the dedup/report key);
   /// `user_addr` is what the program actually touched, carried only so the
   /// report can print both when span_of canonicalized a sub-element access.
@@ -541,11 +480,6 @@ class race_detector final : public execution_observer {
   bool range_enabled_ = true;
   bool assume_canonical_ = false;  // pipelined worker mode: skip span_of
   bool trace_muted_ = false;       // worker replica: no runtime-event tracing
-  // -- shared-structure checker mode (parallel_pipeline.hpp) -----------------
-  race_detector* shared_owner_ = nullptr;  // structure owner (writer-side)
-  std::mutex* shared_mutex_ = nullptr;     // serializes mutable query paths
-  std::uint64_t shared_queries_ = 0;
-  std::uint64_t shared_lock_fallbacks_ = 0;
   /// Owned trace sink when options::trace_path is set (null otherwise).
   /// Declared last: it is torn down first, so the global hook is already
   /// uninstalled (and the JSON flushed) before any other member dies.

@@ -16,11 +16,6 @@
 /// its *element base* address — scalar accesses are canonicalized to the
 /// element base before routing, so sub-element and straddling accesses
 /// resolve to the same owner as the element itself.
-///
-/// Parallel-detect mode routes by the same rule from P producers, and its
-/// shared-structure variant (DESIGN.md §15) leans on the resulting
-/// partition for lock-freedom: shards never share a location, so checkers
-/// only contend on the one reachability graph, never on shadow state.
 
 #include <cstddef>
 #include <cstdint>

@@ -72,19 +72,6 @@ class depa_label_store {
                        a.bytes) == 0;
   }
 
-  /// is_prefix() without the comparison count: the lock-free shared-read
-  /// path (precede_backend::query_shared) may race other readers, so it must
-  /// not touch any mutable member — labels themselves are immutable once
-  /// written (DePa's property), making this safe under concurrent callers as
-  /// long as no structure event (add_child/rebuild) is in flight.
-  bool is_prefix_shared(task_id a_index, task_id b_index) const noexcept {
-    const path_ref& a = paths_[a_index];
-    const path_ref& b = paths_[b_index];
-    if (a.bytes > b.bytes) return false;
-    return std::memcmp(arena_.data() + a.offset, arena_.data() + b.offset,
-                       a.bytes) == 0;
-  }
-
   /// Epoch compaction: rebuilds the store over the new dense index space.
   /// `old_index_for_new` maps each surviving slot (kept tasks in their new
   /// order, then the tombstone as k_invalid_task) to its pre-compaction

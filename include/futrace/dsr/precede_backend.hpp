@@ -134,41 +134,6 @@ class precede_backend {
   /// backend's internal memo is switched separately on the graph itself).
   void set_memo_enabled(bool enabled) noexcept { memo_enabled_ = enabled; }
 
-  // -- Shared-structure (single-writer) read path ----------------------------
-  //
-  // In parallel-detect's shared-structure mode (DESIGN.md §15) one writer
-  // thread owns the graph + backend and many shard checkers query it at
-  // admitted positions: the writer is guaranteed quiescent while readers
-  // run, but readers race EACH OTHER, so only state that queries never
-  // mutate may be touched without a lock. query_shared() is that subset;
-  // anything it cannot decide falls back to query_locked() under the
-  // pipeline's structure mutex. Neither path counts into queries_/memo —
-  // the attached detectors keep their own per-shard counts so the merged
-  // PrecedeQueries stays bit-identical to serial.
-
-  /// True when query_shared() can answer a useful fraction of queries
-  /// lock-free. DePa labels are immutable once written, so the depa backend
-  /// is the natural concurrent-read choice; the graph backend's query path
-  /// mutates (path halving, visit epochs, rep-keyed memo) and stays fully
-  /// behind the lock.
-  virtual bool concurrent_readable() const noexcept { return false; }
-
-  /// Lock-free verdict attempt: +1 ordered, 0 not ordered, -1 undecided
-  /// (caller must take the lock and use query_locked). Must only read state
-  /// that query()/explain() never mutate.
-  virtual int query_shared(task_id a, task_id b) const noexcept {
-    (void)a;
-    (void)b;
-    return -1;
-  }
-
-  /// The full verdict with every mutating fast path available, bypassing
-  /// the base memo and the query counter (the caller holds the structure
-  /// mutex and does its own counting).
-  bool query_locked(task_id a, task_id b) {
-    return a == k_invalid_task ? true : query(a, b);
-  }
-
   /// Folds this backend's query-layer counters into the graph's stats:
   /// overwrites precede_queries with the base count (identical across
   /// backends by construction), adds memo hits, and fills the

@@ -54,12 +54,11 @@ class fault_injector {
     std::uint64_t pipe_stalls = 0;
     std::uint64_t pipe_kills = 0;
     std::uint64_t pipe_forced_fulls = 0;
-    std::uint64_t pipe_structure_kills = 0;
 
     std::uint64_t faults_fired() const noexcept {
       return thrown_spawn + thrown_get + thrown_put + thrown_epoch_reset +
              dropped_puts + failed_allocs + pipe_stalls + pipe_kills +
-             pipe_forced_fulls + pipe_structure_kills;
+             pipe_forced_fulls;
     }
   };
 
@@ -81,9 +80,6 @@ class fault_injector {
   int pipe_worker_event() noexcept;
   /// Forced backpressure spins for this producer push (0 = none).
   std::uint32_t pipe_ring_full() noexcept;
-  /// True iff the shared-structure writer should die before applying the
-  /// next structure event. Ordinals count structure applications.
-  bool pipe_structure_kill() noexcept;
 
  private:
   fault_plan plan_;
@@ -107,8 +103,6 @@ class fault_injector {
   std::atomic<std::uint64_t> pipe_stalls_{0};
   std::atomic<std::uint64_t> pipe_kills_{0};
   std::atomic<std::uint64_t> pipe_forced_fulls_{0};
-  std::atomic<std::uint64_t> pipe_structure_events_{0};  // writer-side ordinal
-  std::atomic<std::uint64_t> pipe_structure_kills_{0};
 };
 
 /// pipe_worker_event() verdicts.

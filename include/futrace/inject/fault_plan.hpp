@@ -70,19 +70,13 @@ struct fault_plan {
   /// for pipe_ring_full_spins backpressure spins before proceeding.
   std::uint64_t pipe_ring_full_at = 0;
   std::uint32_t pipe_ring_full_spins = 0;
-  /// Kill the shared-structure writer thread (parallel_pipeline.hpp,
-  /// --structure=shared) just before it applies the Nth structure event:
-  /// the thread exits, producers spill further structure events, and
-  /// finalize replays everything single-threaded on the main thread.
-  std::uint64_t pipe_structure_kill_at = 0;
 
   /// True iff any trigger is armed.
   bool any() const noexcept {
     return throw_at_spawn != 0 || throw_at_get != 0 || throw_at_put != 0 ||
            throw_at_epoch_reset != 0 || drop_put_at != 0 ||
            fail_alloc_at != 0 || perturb_steals || yield_every != 0 ||
-           pipe_stall_at != 0 || pipe_kill_at != 0 ||
-           pipe_ring_full_at != 0 || pipe_structure_kill_at != 0;
+           pipe_stall_at != 0 || pipe_kill_at != 0 || pipe_ring_full_at != 0;
   }
 
   /// Human-readable one-line summary ("spawn-throw@3 yield-every=7 ...").

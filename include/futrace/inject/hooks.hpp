@@ -33,7 +33,6 @@ std::uint32_t steal_start_slow(fault_injector& inj, std::uint32_t self,
 bool yield_slow(fault_injector& inj) noexcept;
 int pipe_worker_slow(fault_injector& inj) noexcept;
 std::uint32_t pipe_ring_full_slow(fault_injector& inj) noexcept;
-bool pipe_structure_slow(fault_injector& inj) noexcept;
 
 }  // namespace detail
 
@@ -108,14 +107,6 @@ inline int pipe_worker_site() noexcept {
 inline std::uint32_t pipe_ring_full_site() noexcept {
   fault_injector* inj = current_injector();
   return inj == nullptr ? 0 : detail::pipe_ring_full_slow(*inj);
-}
-
-/// Fired by the shared-structure writer thread before applying each
-/// structure event; true means the writer dies right here (exits without
-/// applying) and the pipeline must fall back to a single-threaded replay.
-inline bool pipe_structure_site() noexcept {
-  fault_injector* inj = current_injector();
-  return inj != nullptr && detail::pipe_structure_slow(*inj);
 }
 
 }  // namespace futrace::inject

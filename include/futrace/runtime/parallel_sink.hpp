@@ -14,11 +14,6 @@
 ///    time (the worker's), so a per-worker implementation needs no locking.
 ///  - program_done() is called once, on the main thread, after every worker
 ///    has been joined; no emit_* call can be concurrent with or follow it.
-///
-/// The one-OS-thread-per-worker guarantee is load-bearing beyond the ring
-/// protocol: shared-structure mode (DESIGN.md §15) tags each access event
-/// with a producer-local per-pid structure ordinal, which is only coherent
-/// because a pid's emit_* calls are totally ordered on one thread.
 
 #include <cstddef>
 #include <cstdint>

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <deque>
-#include <mutex>
 #include <span>
 #include <thread>
 #include <unordered_map>
@@ -83,7 +82,6 @@ class dfs_replayer {
   explicit dfs_replayer(race_detector* det) : det_(det) {}
 
   void enqueue(const pipe_event& ev) {
-    ++queued_;
     queues_[ev.task].push_back(ev);
   }
 
@@ -98,7 +96,6 @@ class dfs_replayer {
       if (it == queues_.end() || it->second.empty()) return false;
       const pipe_event ev = it->second.front();
       it->second.pop_front();
-      ++replayed_;
       FUTRACE_DCHECK(ev.op == pipe_op::program_start);
       const task_id root = next_task_++;
       task_stack_.push_back({root, root, k_no_frame, false, put_counter_});
@@ -113,7 +110,6 @@ class dfs_replayer {
     if (it == queues_.end() || it->second.empty()) return false;
     const pipe_event ev = it->second.front();
     it->second.pop_front();
-    ++replayed_;
     apply(ev);
     return true;
   }
@@ -161,41 +157,6 @@ class dfs_replayer {
 
   std::uint64_t infeasible_gets() const noexcept { return infeasible_gets_; }
   std::uint64_t dropped() const noexcept { return dropped_; }
-
-  // -- shared-structure writer interface --------------------------------------
-  // The single-writer structure thread applies one event at a time and
-  // labels the run that follows it; these accessors expose exactly the
-  // state it needs between steps.
-
-  /// The next admissible event (the one step() would replay), or nullptr
-  /// when the DFS order is blocked on an event that has not arrived.
-  const pipe_event* peek() const {
-    if (ended_) return nullptr;
-    if (!started_) {
-      const auto it = queues_.find(0);
-      if (it == queues_.end() || it->second.empty()) return nullptr;
-      return &it->second.front();
-    }
-    if (source_stack_.empty()) return nullptr;
-    const auto it = queues_.find(source_stack_.back());
-    if (it == queues_.end() || it->second.empty()) return nullptr;
-    return &it->second.front();
-  }
-
-  bool has_admissible() const { return peek() != nullptr; }
-
-  /// The pid whose queue feeds the replay right now (the source of the
-  /// next structure event, and the owner of every access in the current
-  /// run); k_invalid_task once the root chain has closed.
-  task_id current_source() const {
-    if (!started_ || source_stack_.empty()) return k_invalid_task;
-    return source_stack_.back();
-  }
-
-  /// The dense serial id the current source's accesses check under.
-  task_id current_dense() const {
-    return task_stack_.empty() ? k_invalid_task : task_stack_.back().id;
-  }
 
  private:
   void apply(const pipe_event& ev) {
@@ -348,29 +309,10 @@ class dfs_replayer {
   std::unordered_map<std::uint64_t, task_id> put_identity_;
   task_id next_task_ = 0;
   std::uint64_t put_counter_ = 0;
-  std::uint64_t queued_ = 0;
-  std::uint64_t replayed_ = 0;
   std::uint64_t infeasible_gets_ = 0;
   std::uint64_t dropped_ = 0;
   bool started_ = false;
   bool ended_ = false;
-};
-
-/// Sentinel for "no structure ordinal can match this run" (the run after
-/// the root chain closed, which can own no accesses).
-inline constexpr std::uint64_t k_invalid_seq = ~std::uint64_t{0};
-
-/// One admitted structure event, as the shard checkers need it: run n
-/// (1-based) is the shared-graph state after the writer applied the n-th
-/// structure event. Its accesses are exactly those of `pid` tagged with the
-/// per-pid ordinal `k`, checked as dense serial task `dense` at the owner's
-/// serial step `step` (adopted via note_run_boundary so stamp elision is
-/// bit-identical to the inline serial run).
-struct run_label {
-  task_id pid = k_invalid_task;
-  std::uint64_t k = k_invalid_seq;
-  task_id dense = k_invalid_task;
-  std::uint64_t step = 0;
 };
 
 }  // namespace
@@ -390,20 +332,8 @@ struct parallel_detector::impl {
     std::vector<std::vector<pipe_event>> spill;
     /// Batched-publish staging, one vector per checker: at most `batch`
     /// access events accumulate before one publish_n, and every staged
-    /// event is flushed before any structure emission (per-ring FIFO in
-    /// replicated mode; published-before-terminator in shared mode).
+    /// event is flushed before any structure emission (per-ring FIFO).
     std::vector<std::vector<pipe_event>> stage;
-    /// Shared-structure mode: per-pid count of this producer's structure
-    /// events so far — the ordinal tag carried by access events (a pid's
-    /// body runs on one OS thread, so its counts live in one map). The
-    /// one-entry cache short-circuits the lookup on the access fast path
-    /// (unordered_map references are rehash-stable).
-    std::unordered_map<task_id, std::uint64_t> struct_seq;
-    task_id seq_pid = k_invalid_task;
-    std::uint64_t* seq_slot = nullptr;
-    /// Structure events buffered after the writer died (ring-then-spill,
-    /// same FIFO story as the per-checker spill).
-    std::vector<pipe_event> struct_spill;
     std::uint64_t events = 0;
     std::uint64_t access_events = 0;
     std::uint64_t split_subevents = 0;
@@ -424,59 +354,6 @@ struct parallel_detector::impl {
     /// exception; producers poll it (acquire) and spill from then on.
     std::atomic<bool> dead{false};
     bool thread_started = false;
-
-    // -- shared-structure run state (structure_mode::shared) ------------------
-    // Owned by the checker thread while it lives; the store to `dead`
-    // (release) hands it to the structure writer, whose join hands it to
-    // the main thread — one owner at every instant.
-    /// Access events demuxed per pid; a pid's entries are FIFO in its
-    /// program order, so ordinal tags are nondecreasing per queue.
-    std::unordered_map<task_id, std::deque<pipe_event>> buckets;
-    std::uint64_t next_run = 1;  // first run not yet completed
-    bool run_entered = false;    // note_run_boundary done for next_run
-    run_label cur{};             // label of next_run once entered
-    /// Highest fully-completed run; the writer's fence acquires it.
-    std::atomic<std::uint64_t> done_run{0};
-    std::uint64_t wait_spins = 0;
-    std::uint64_t admit_lag_max = 0;
-  };
-
-  /// The single-writer shared reachability structure (structure_mode::
-  /// shared): one race_detector owns the only graph + PRECEDE backend,
-  /// fed by one structure ring per producer. Checkers attach to it for
-  /// read-only queries and never mutate it.
-  struct shared_structure {
-    std::unique_ptr<race_detector> owner;
-    std::unique_ptr<dfs_replayer> rp;
-    std::vector<std::unique_ptr<event_ring>> rings;  // one per producer
-    std::thread thread;
-    bool thread_started = false;
-    /// Set (release) when the writer dies (fault injection, escaped
-    /// exception, failed thread start); producers spill structure events
-    /// from then on and finalize replays single-threaded.
-    std::atomic<bool> dead{false};
-    /// Admitted position: runs 1..applied exist (their run_label is
-    /// appended before this release store).
-    std::atomic<std::uint64_t> applied{0};
-    /// Highest n whose terminator — the (n+1)-th structure event — the
-    /// writer holds. Producers flush staged accesses before every
-    /// structure push and a run's accesses and its terminator come from
-    /// the same pid (hence the same OS thread), so terminator >= n means
-    /// every run-n access was published before the store.
-    std::atomic<std::uint64_t> terminator{0};
-    /// The stream is fully applied: the final run's terminator is EOF.
-    std::atomic<bool> eof{false};
-    /// Serializes the mutating PRECEDE query paths (graph search, DSU path
-    /// halving) across shards; the lock-free query_shared path bypasses it.
-    std::mutex query_mutex;
-    /// Guards `runs`: push_back keeps element references stable but a
-    /// deque's internal block map is not concurrently indexable.
-    std::mutex run_mutex;
-    std::deque<run_label> runs;  // runs[n-1] labels run n
-    /// Structure events applied per pid, in serial order — the k of the
-    /// next run label. Writer-thread local (main-thread at finalize).
-    std::unordered_map<task_id, std::uint64_t> applied_count;
-    std::uint64_t fence_spins = 0;
   };
 
   race_detector::options opts;
@@ -500,8 +377,6 @@ struct parallel_detector::impl {
 
   std::vector<std::unique_ptr<producer_state>> pstates;
   std::vector<std::unique_ptr<checker>> checkers;
-  /// Non-null iff tuning::structure == structure_mode::shared.
-  std::unique_ptr<shared_structure> shared;
   /// The run's trace session (Chrome JSON written at destruction). Owned
   /// here: producers emit the execution lanes, every inner detector is
   /// trace-muted.
@@ -571,56 +446,6 @@ struct parallel_detector::impl {
     ring.publish(1);
   }
 
-  /// True when nobody will ever drain checker `c`'s access rings again:
-  /// the checker is dead and — under shared mode — the structure writer,
-  /// which services dead shards' rings, is dead too. Both flags are
-  /// sticky, so once a producer starts spilling it never goes back to the
-  /// ring and the ring-then-spill FIFO order survives.
-  bool consumer_gone(const checker& c) const {
-    if (!c.dead.load(std::memory_order_acquire)) return false;
-    return shared == nullptr || shared->dead.load(std::memory_order_acquire);
-  }
-
-  /// Per-pid structure ordinal slot, with a one-entry cache for the access
-  /// fast path (a worker runs one task body at a time).
-  std::uint64_t& struct_seq_of(producer_state& ps, task_id pid) {
-    if (ps.seq_pid != pid || ps.seq_slot == nullptr) [[unlikely]] {
-      ps.seq_slot = &ps.struct_seq[pid];
-      ps.seq_pid = pid;
-    }
-    return *ps.seq_slot;
-  }
-
-  /// Shared-structure push: one writer-consumed ring per producer. After
-  /// the writer dies the event spills to the producer's struct_spill, so
-  /// finalize can drain ring-then-spill in stream order.
-  void push_structure(unsigned p, const pipe_event& ev) {
-    producer_state& ps = *pstates[p];
-    shared_structure& sh = *shared;
-    ++ps.pushes;
-    if (sh.dead.load(std::memory_order_acquire) || sh.rings.empty())
-        [[unlikely]] {
-      ps.struct_spill.push_back(ev);
-      ++ps.spilled;
-      return;
-    }
-    event_ring& ring = *sh.rings[p];
-    if (ring.free_slots() < 1) [[unlikely]] {
-      spin_backoff backoff;
-      while (ring.free_slots_refresh() < 1) {
-        ++ps.backpressure_waits;
-        backoff.wait();
-        if (sh.dead.load(std::memory_order_acquire)) {
-          ps.struct_spill.push_back(ev);
-          ++ps.spilled;
-          return;
-        }
-      }
-    }
-    ring.produce_slot(0) = ev;
-    ring.publish(1);
-  }
-
   /// Stages one access event for (producer, shard); the batch publishes
   /// with one release store when it fills (options::ring_batch) and at the
   /// next structure emission.
@@ -639,13 +464,13 @@ struct parallel_detector::impl {
 
   /// Publishes a staged batch with as few release stores as ring space
   /// allows, spinning on backpressure and spilling the remainder once the
-  /// consumer side is gone for good.
+  /// checker is dead (sticky, so ring-then-spill stays stream order).
   void flush_stage(unsigned p, checker& c, std::vector<pipe_event>& st) {
     producer_state& ps = *pstates[p];
     const std::uint64_t before = ps.pushes;
     ps.pushes += st.size();
     std::size_t off = 0;
-    if (!c.rings.empty() && !consumer_gone(c)) {
+    if (!c.rings.empty() && !c.dead.load(std::memory_order_acquire)) {
       event_ring& ring = *c.rings[p];
       // Fill-level sampling about once per 64 pushes (the Pipe% column),
       // batched flushes included.
@@ -669,7 +494,7 @@ struct parallel_detector::impl {
           backoff.reset();
           continue;
         }
-        if (consumer_gone(c)) break;
+        if (c.dead.load(std::memory_order_acquire)) break;
         if (!stalled) {
           stalled = true;
           obs::trace_emit(obs::trace_kind::ring_stall,
@@ -688,8 +513,8 @@ struct parallel_detector::impl {
 
   /// Producer-side execution lanes: in parallel-detect mode the producers
   /// are the single authoritative runtime-event stream (the checker
-  /// replicas and the structure owner are trace-muted, exactly as the
-  /// pipelined detector mutes its worker replicas).
+  /// replicas are trace-muted, exactly as the pipelined detector mutes its
+  /// worker replicas).
   void trace_lane(pipe_op op, task_id pid, std::uint64_t a, std::uint64_t b) {
     switch (op) {
       case pipe_op::program_start:
@@ -722,31 +547,23 @@ struct parallel_detector::impl {
     (void)b;
   }
 
-  /// Graph-structure events. Replicated: broadcast to every shard, each
-  /// replica replays the full structure. Shared: routed to the structure
-  /// writer alone, tagged with the emitting pid's structure ordinal.
+  /// Graph-structure events: broadcast to every shard, each replica
+  /// replays the full structure.
   void emit_struct(unsigned p, pipe_op op, task_id pid, std::uint64_t a,
                    std::uint64_t b) {
     producer_state& ps = *pstates[p];
     if (op == pipe_op::program_start) root_pid = pid;
     if (obs::trace_enabled()) [[unlikely]] trace_lane(op, pid, a, b);
     // Staged accesses precede this event in the pid's program order and
-    // must reach the wire first: per-ring FIFO is the replicated demux
-    // invariant, published-before-terminator the shared-mode one.
+    // must reach the wire first: per-ring FIFO is the demux invariant.
     flush_stages(p);
     pipe_event ev;
     ev.op = op;
     ev.task = pid;
     ev.a = a;
     ev.b = b;
-    if (shared) {
-      ev.seq = struct_seq_of(ps, pid)++;
-      ++ps.events;
-      push_structure(p, ev);
-    } else {
-      ev.seq = ps.events++;  // producer-stream ordinal (diagnostics only)
-      for (auto& cp : checkers) push(p, *cp, ev);
-    }
+    ev.seq = ps.events++;  // producer-stream ordinal (diagnostics only)
+    for (auto& cp : checkers) push(p, *cp, ev);
   }
 
   void emit_range_split(unsigned p, bool is_write, task_id pid,
@@ -785,20 +602,11 @@ struct parallel_detector::impl {
     if (sub > 1) ps.split_subevents += sub - 1;
   }
 
-  /// The access seq tag: replicated mode keeps the producer-stream ordinal
-  /// (diagnostics only); shared mode carries the pid's structure ordinal —
-  /// the run whose graph state this access must be checked against.
-  std::uint64_t access_seq(producer_state& ps, task_id pid) {
-    const std::uint64_t seq_no = shared ? struct_seq_of(ps, pid) : ps.events;
-    ++ps.events;
-    return seq_no;
-  }
-
   void emit_access(unsigned p, bool is_write, task_id pid, const void* addr,
                    std::size_t size, access_site site) {
     producer_state& ps = *pstates[p];
     ++ps.access_events;
-    const std::uint64_t seq_no = access_seq(ps, pid);
+    const std::uint64_t seq_no = ps.events++;
     // Canonicalize on the emitting worker (it sees the element geometry no
     // later than the access); replicas run assume-canonical.
     const shadow_memory::access_span span = ps.span_shadow.span_of(addr, size);
@@ -821,17 +629,15 @@ struct parallel_detector::impl {
                      site, seq_no);
   }
 
-  /// Region retire: access-class (it mutates only shadow state, so the
-  /// structure owner never sees it) but staged to EVERY shard — the range
-  /// may span chunk owners, and each shard retires only the cells it holds.
-  /// One access ordinal covers all W copies (like a split range's
-  /// sub-events), so shared-mode checkers apply each copy inside the run
-  /// the free executed in.
+  /// Region retire: access-class (it mutates only shadow state) but staged
+  /// to EVERY shard — the range may span chunk owners, and each shard
+  /// retires only the cells it holds. One access ordinal covers all W
+  /// copies, like a split range's sub-events.
   void emit_region_retire(unsigned p, task_id pid, const void* addr,
                           std::size_t bytes) {
     producer_state& ps = *pstates[p];
     ++ps.access_events;
-    const std::uint64_t seq_no = access_seq(ps, pid);
+    const std::uint64_t seq_no = ps.events++;
     pipe_event ev;
     ev.op = pipe_op::region_retire;
     ev.task = pid;
@@ -894,301 +700,6 @@ struct parallel_detector::impl {
     }
   }
 
-  // -- shared-structure mode (one writer, W read-only checkers) ---------------
-
-  /// The highest run whose accesses are all on the wire. Read eof first:
-  /// once it is set, applied is final and every run is terminated.
-  std::uint64_t term_snapshot() const {
-    const shared_structure& sh = *shared;
-    const bool at_eof = sh.eof.load(std::memory_order_acquire);
-    const std::uint64_t applied = sh.applied.load(std::memory_order_acquire);
-    return at_eof ? applied : sh.terminator.load(std::memory_order_acquire);
-  }
-
-  /// Drains checker `c`'s access rings into its per-pid buckets. `live` is
-  /// true only on the checker's own thread, where the kill/stall fault
-  /// site fires; a kill leaves the killed event in the ring (finalize
-  /// consumes it) and reports through `*killed`.
-  std::size_t drain_shared(checker& c, bool live, bool* killed) {
-    std::size_t drained = 0;
-    for (unsigned p = 0; p < producers; ++p) {
-      event_ring& ring = *c.rings[p];
-      const std::size_t n = ring.readable_refresh();
-      for (std::size_t i = 0; i < n; ++i) {
-        if (live) {
-          const int action = inject::pipe_worker_site();
-          if (action == inject::pipe_kill) [[unlikely]] {
-            if (i != 0) ring.pop(i);
-            *killed = true;
-            return drained;
-          }
-          if (action == inject::pipe_stall) [[unlikely]] {
-            std::this_thread::sleep_for(std::chrono::milliseconds(20));
-          }
-        }
-        const pipe_event& ev = ring.consume_slot(i);
-        c.buckets[ev.task].push_back(ev);
-      }
-      if (n != 0) {
-        ring.pop(n);
-        drained += n;
-      }
-    }
-    return drained;
-  }
-
-  /// Applies one access event under the run's identity: the dense serial
-  /// task id from the run label, the canonical address/geometry from the
-  /// wire — exactly what the replicated replayer would have dispatched.
-  static void apply_shared_access(race_detector& det, const run_label& cur,
-                                  const pipe_event& ev) {
-    switch (ev.op) {
-      case pipe_op::read:
-        det.on_canonical_read(cur.dense, reinterpret_cast<const void*>(ev.a),
-                              reinterpret_cast<const void*>(ev.stride),
-                              access_site{ev.file, ev.line});
-        break;
-      case pipe_op::write:
-        det.on_canonical_write(cur.dense, reinterpret_cast<const void*>(ev.a),
-                               reinterpret_cast<const void*>(ev.stride),
-                               access_site{ev.file, ev.line});
-        break;
-      case pipe_op::read_range:
-        det.on_read_range(cur.dense, reinterpret_cast<const void*>(ev.a),
-                          static_cast<std::size_t>(ev.b),
-                          static_cast<std::size_t>(ev.stride),
-                          access_site{ev.file, ev.line});
-        break;
-      case pipe_op::write_range:
-        det.on_write_range(cur.dense, reinterpret_cast<const void*>(ev.a),
-                           static_cast<std::size_t>(ev.b),
-                           static_cast<std::size_t>(ev.stride),
-                           access_site{ev.file, ev.line});
-        break;
-      case pipe_op::region_retire:
-        det.on_region_retire(cur.dense, reinterpret_cast<const void*>(ev.a),
-                             static_cast<std::size_t>(ev.b));
-        break;
-      default:
-        FUTRACE_DCHECK(false);  // structure never reaches an access ring
-        break;
-    }
-  }
-
-  /// Advances checker `c` through admitted runs: enter run n (adopt the
-  /// owner's serial step), apply every bucketed access tagged for it, and
-  /// complete it — publishing done_run for the writer's fence — once its
-  /// terminator is on the wire (`term` >= n, snapshotted before the drain
-  /// that made the buckets current). Runs complete strictly in order.
-  bool process_runs_shared(checker& c, std::uint64_t term) {
-    shared_structure& sh = *shared;
-    bool progress = false;
-    for (;;) {
-      const std::uint64_t n = c.next_run;
-      const std::uint64_t admitted =
-          sh.applied.load(std::memory_order_acquire);
-      if (n > admitted) break;
-      const std::uint64_t lag = admitted - (n - 1);
-      if (lag > c.admit_lag_max) c.admit_lag_max = lag;
-      if (!c.run_entered) {
-        {
-          std::lock_guard<std::mutex> lock(sh.run_mutex);
-          c.cur = sh.runs[static_cast<std::size_t>(n - 1)];
-        }
-        c.det->note_run_boundary(c.cur.step);
-        c.run_entered = true;
-      }
-      if (c.cur.pid != k_invalid_task) {
-        const auto it = c.buckets.find(c.cur.pid);
-        if (it != c.buckets.end()) {
-          std::deque<pipe_event>& q = it->second;
-          while (!q.empty() && q.front().seq == c.cur.k) {
-            apply_shared_access(*c.det, c.cur, q.front());
-            q.pop_front();
-            progress = true;
-          }
-          if (q.empty()) c.buckets.erase(it);
-        }
-      }
-      if (term < n) break;  // run still open: more accesses may arrive
-      c.done_run.store(n, std::memory_order_release);
-      c.next_run = n + 1;
-      c.run_entered = false;
-      progress = true;
-    }
-    return progress;
-  }
-
-  void checker_loop_shared(checker& c) {
-    shared_structure& sh = *shared;
-    spin_backoff backoff;
-    for (;;) {
-      // Snapshot the terminator BEFORE the drain: any run it covers had
-      // all accesses published before the snapshot, so this very sweep
-      // captures them — completing such a run afterwards is sound.
-      const std::uint64_t term = term_snapshot();
-      bool killed = false;
-      const std::size_t drained = drain_shared(c, /*live=*/true, &killed);
-      if (killed) {
-        c.dead.store(true, std::memory_order_release);
-        return;
-      }
-      const bool stepped = process_runs_shared(c, term);
-      if (drained != 0 || stepped) {
-        backoff.reset();
-        continue;
-      }
-      if (done.load(std::memory_order_acquire)) {
-        const bool writer_gone = sh.dead.load(std::memory_order_acquire);
-        const bool at_eof = sh.eof.load(std::memory_order_acquire);
-        bool empty = true;
-        for (unsigned p = 0; p < producers; ++p) {
-          if (c.rings[p]->readable_refresh() != 0) {
-            empty = false;
-            break;
-          }
-        }
-        // Exit once nothing more can arrive and nothing more can be
-        // admitted; leftovers (a dead writer's tail) fall to finalize.
-        if (empty &&
-            (writer_gone ||
-             (at_eof &&
-              c.next_run > sh.applied.load(std::memory_order_acquire)))) {
-          return;
-        }
-      }
-      ++c.wait_spins;
-      backoff.wait();
-    }
-  }
-
-  /// Writer-side: move every queued structure event into the replayer.
-  std::size_t drain_structure() {
-    shared_structure& sh = *shared;
-    std::size_t drained = 0;
-    for (unsigned p = 0; p < producers; ++p) {
-      event_ring& ring = *sh.rings[p];
-      const std::size_t n = ring.readable_refresh();
-      for (std::size_t i = 0; i < n; ++i) sh.rp->enqueue(ring.consume_slot(i));
-      if (n != 0) {
-        ring.pop(n);
-        drained += n;
-      }
-    }
-    return drained;
-  }
-
-  /// Writer-side stand-in for dead shards: drain their rings and advance
-  /// their runs so neither producers (full ring) nor the fence can wedge
-  /// on a shard whose thread is gone. Safe: the dead store (release) was
-  /// the checker thread's last action, and only the writer touches the
-  /// shard afterwards.
-  void service_dead_shards() {
-    for (auto& cp : checkers) {
-      checker& c = *cp;
-      if (!c.dead.load(std::memory_order_acquire)) continue;
-      if (c.rings.empty()) continue;
-      const std::uint64_t term = term_snapshot();
-      bool killed = false;
-      drain_shared(c, /*live=*/false, &killed);
-      process_runs_shared(c, term);
-    }
-  }
-
-  /// Blocks until every shard has completed run n. Live checkers always
-  /// progress (their run-n accesses are already published — the terminator
-  /// is in hand); dead shards are serviced right here; the structure rings
-  /// keep draining so producers never wedge on a fenced writer.
-  void fence_checkers(std::uint64_t n) {
-    shared_structure& sh = *shared;
-    spin_backoff backoff;
-    for (;;) {
-      bool all = true;
-      for (auto& cp : checkers) {
-        checker& c = *cp;
-        if (c.done_run.load(std::memory_order_acquire) >= n) continue;
-        if (c.dead.load(std::memory_order_acquire)) {
-          const std::uint64_t term = term_snapshot();
-          bool killed = false;
-          drain_shared(c, /*live=*/false, &killed);
-          process_runs_shared(c, term);
-          if (c.done_run.load(std::memory_order_relaxed) >= n) continue;
-        }
-        all = false;
-      }
-      if (all) return;
-      drain_structure();
-      ++sh.fence_spins;
-      backoff.wait();
-    }
-  }
-
-  /// Applies the next admissible structure event to the shared graph and
-  /// publishes the new admitted position: run-table entry first, then the
-  /// release store checkers acquire. Callers have already fenced, so no
-  /// checker can be mid-query while the graph (or an epoch compaction)
-  /// mutates.
-  void apply_one_structure() {
-    shared_structure& sh = *shared;
-    const pipe_event* next = sh.rp->peek();
-    FUTRACE_DCHECK(next != nullptr);
-    const task_id src = next->task;
-    const bool ok = sh.rp->step();
-    FUTRACE_DCHECK(ok);
-    (void)ok;
-    ++sh.applied_count[src];
-    run_label e;
-    e.pid = sh.rp->current_source();
-    e.k = e.pid == k_invalid_task ? k_invalid_seq : sh.applied_count[e.pid];
-    e.dense = sh.rp->current_dense();
-    e.step = sh.owner->current_step();
-    {
-      std::lock_guard<std::mutex> lock(sh.run_mutex);
-      sh.runs.push_back(e);
-    }
-    ++pstats.structure_events;
-    sh.applied.fetch_add(1, std::memory_order_release);
-  }
-
-  /// The structure thread: lockstep single-writer loop. Holding the next
-  /// admissible event e_{n+1} proves every run-n access is published, so:
-  /// publish terminator(n), fence all shards past run n, then apply
-  /// e_{n+1} into the quiescent graph and admit run n+1.
-  void writer_loop() {
-    shared_structure& sh = *shared;
-    spin_backoff backoff;
-    for (;;) {
-      const std::size_t drained = drain_structure();
-      if (sh.rp->has_admissible()) {
-        const std::uint64_t n = sh.applied.load(std::memory_order_relaxed);
-        sh.terminator.store(n, std::memory_order_release);
-        fence_checkers(n);
-        if (inject::pipe_structure_site()) [[unlikely]] {
-          sh.dead.store(true, std::memory_order_release);
-          return;
-        }
-        apply_one_structure();
-        backoff.reset();
-        continue;
-      }
-      if (drained != 0) {
-        backoff.reset();
-        continue;
-      }
-      if (done.load(std::memory_order_acquire)) {
-        // Re-check after observing done (same race as the checker loop).
-        if (drain_structure() != 0 || sh.rp->has_admissible()) continue;
-        const std::uint64_t n = sh.applied.load(std::memory_order_relaxed);
-        sh.terminator.store(n, std::memory_order_release);
-        sh.eof.store(true, std::memory_order_release);
-        fence_checkers(n);
-        return;
-      }
-      service_dead_shards();
-      backoff.wait();
-    }
-  }
-
   // -- finalize & merge -------------------------------------------------------
 
   void fold_producer_stats() {
@@ -1219,10 +730,6 @@ struct parallel_detector::impl {
     // publish whatever is still staged, then close the stream.
     for (unsigned p = 0; p < producers; ++p) flush_stages(p);
     done.store(true, std::memory_order_release);
-    if (shared) {
-      finalize_shared();
-      return;
-    }
     for (auto& cp : checkers) {
       if (cp->thread.joinable()) cp->thread.join();
     }
@@ -1266,113 +773,11 @@ struct parallel_detector::impl {
     merge();
   }
 
-  /// Shared-mode finalize: join everything, then run the same lockstep
-  /// protocol single-threaded over whatever is left — a dead writer's
-  /// unapplied tail, dead shards' rings, every spill — one thread playing
-  /// all the roles. Bit-identical by the same argument as the live path.
-  void finalize_shared() {
-    shared_structure& sh = *shared;
-    for (auto& cp : checkers) {
-      if (cp->thread.joinable()) cp->thread.join();
-    }
-    if (sh.thread.joinable()) sh.thread.join();
-
-    // Structure: ring leftovers first, then the spill (spilling starts
-    // only once the writer is dead, so ring-then-spill is stream order).
-    std::uint64_t taken = 0;
-    for (unsigned p = 0; p < producers; ++p) {
-      if (!sh.rings.empty()) {
-        event_ring& ring = *sh.rings[p];
-        const std::size_t n = ring.readable_refresh();
-        for (std::size_t i = 0; i < n; ++i) {
-          sh.rp->enqueue(ring.consume_slot(i));
-        }
-        if (n != 0) {
-          ring.pop(n);
-          taken += n;
-        }
-      }
-      producer_state& ps = *pstates[p];
-      taken += ps.struct_spill.size();
-      for (const pipe_event& ev : ps.struct_spill) sh.rp->enqueue(ev);
-      ps.struct_spill.clear();
-      ps.struct_spill.shrink_to_fit();
-    }
-    // Accesses: same ring-then-spill order into the per-pid buckets.
-    for (auto& cp : checkers) {
-      checker& c = *cp;
-      for (unsigned p = 0; p < producers; ++p) {
-        if (!c.rings.empty()) {
-          event_ring& ring = *c.rings[p];
-          const std::size_t n = ring.readable_refresh();
-          for (std::size_t i = 0; i < n; ++i) {
-            const pipe_event& ev = ring.consume_slot(i);
-            c.buckets[ev.task].push_back(ev);
-          }
-          if (n != 0) {
-            ring.pop(n);
-            taken += n;
-          }
-        }
-        std::vector<pipe_event>& sp = pstates[p]->spill[c.index];
-        taken += sp.size();
-        for (const pipe_event& ev : sp) c.buckets[ev.task].push_back(ev);
-        sp.clear();
-        sp.shrink_to_fit();
-      }
-    }
-    // Replay: everything is on this thread now, so "terminator in hand"
-    // is simply "the next event is admissible" — finish every admitted
-    // run, then admit one more.
-    while (sh.rp->has_admissible()) {
-      const std::uint64_t admitted =
-          sh.applied.load(std::memory_order_relaxed);
-      for (auto& cp : checkers) process_runs_shared(*cp, admitted);
-      apply_one_structure();
-    }
-    sh.terminator.store(sh.applied.load(std::memory_order_relaxed),
-                        std::memory_order_release);
-    sh.eof.store(true, std::memory_order_release);
-    for (auto& cp : checkers) {
-      process_runs_shared(*cp, sh.applied.load(std::memory_order_relaxed));
-    }
-    sh.rp->unwind_eof();
-
-    for (auto& cp : checkers) {
-      checker& c = *cp;
-      // Anything still bucketed had no admissible run: its serial position
-      // lies beyond structure that never arrived (program error).
-      for (const auto& [pid, q] : c.buckets) {
-        pstats.dropped_events += q.size();
-      }
-      c.buckets.clear();
-      if (c.dead.load(std::memory_order_relaxed) && c.thread_started) {
-        ++stats.workers_died;
-      }
-      stats.checker_wait_spins += c.wait_spins;
-      stats.structure_admit_lag_max =
-          std::max(stats.structure_admit_lag_max, c.admit_lag_max);
-    }
-    if (sh.dead.load(std::memory_order_relaxed) && sh.thread_started) {
-      pstats.structure_writer_died = 1;
-    }
-    pstats.takeover_events += taken;
-    stats.inline_fallbacks += taken;
-    stats.checker_wait_spins += sh.fence_spins;
-    stats.shared_graph_bytes = sh.owner->structure_bytes();
-    pstats.infeasible_gets += sh.rp->infeasible_gets();
-    pstats.dropped_events += sh.rp->dropped();
-    fold_producer_stats();
-    merge();
-  }
-
   void merge() {
     detector_counters c;
-    // Structural counters come from the one structure pass: the shared
-    // owner, or (replicated, where structure is broadcast and identical in
-    // every replica) checker 0's.
-    const detector_counters c0 = shared ? shared->owner->counters()
-                                        : checkers[0]->det->counters();
+    // Structural counters come from one structure pass: structure is
+    // broadcast and identical in every replica, so checker 0's.
+    const detector_counters c0 = checkers[0]->det->counters();
     c.tasks = c0.tasks;
     c.async_tasks = c0.async_tasks;
     c.future_tasks = c0.future_tasks;
@@ -1381,15 +786,6 @@ struct parallel_detector::impl {
     c.get_operations = c0.get_operations;
     c.non_tree_joins = c0.non_tree_joins;
     c.epoch_resets = c0.epoch_resets;
-    if (shared) {
-      // The owner issues the structure-time PRECEDE queries (non-tree-join
-      // dedup) and owns the memo; checkers add their access-time query
-      // counts below, so the sum reproduces the serial total.
-      c.precede_queries = c0.precede_queries;
-      c.memo_hits = c0.memo_hits;
-      c.degraded = c0.degraded;
-      c.degradation_reasons = c0.degradation_reasons;
-    }
     // Address-routed state is disjoint across shards: sums and maxima are
     // exact. avg_readers merges through the raw sample sum.
     std::uint64_t reader_samples = 0;
@@ -1433,9 +829,6 @@ struct parallel_detector::impl {
     merged_racy.erase(std::unique(merged_racy.begin(), merged_racy.end()),
                       merged_racy.end());
     c.racy_locations = merged_racy.size();
-    // Attached checkers report zero structure bytes; the owner's graph +
-    // backend count exactly once here.
-    if (shared) merged_memory += shared->owner->memory_bytes();
 
     // Report merge: no global serial event number exists across shards (the
     // wire's seq is a per-producer ordinal), so reports merge by canonical
@@ -1464,9 +857,9 @@ struct parallel_detector::impl {
       }
     }
 
-    if (stats.workers_died != 0 || pstats.structure_writer_died != 0) {
-      // Reasons bit only, like a checker death: verdicts stayed exact (the
-      // finalize replay kept full fidelity), so degraded() itself — which
+    if (stats.workers_died != 0) {
+      // Reasons bit only: verdicts stayed exact (the finalize replay kept
+      // full fidelity), so degraded() itself — which
       // serial comparison gates on — is untouched.
       c.degradation_reasons |= k_degraded_worker_death;
     }
@@ -1515,14 +908,12 @@ void parallel_detector::begin(unsigned workers) {
   im.shard_pow2 = (im.checker_count & (im.checker_count - 1)) == 0;
   im.shard_mask = im.checker_count - 1;
 
-  const bool shared_mode = im.tune.structure == structure_mode::shared;
   im.batch = im.opts.ring_batch == 0 ? 1 : im.opts.ring_batch;
 
   std::size_t cap = 2;
   while (cap < im.tune.ring_capacity) cap <<= 1;
   const std::size_t ring_count =
-      static_cast<std::size_t>(im.producers) * im.checker_count +
-      (shared_mode ? im.producers : 0);
+      static_cast<std::size_t>(im.producers) * im.checker_count;
   if (support::alloc_should_fail(cap * sizeof(pipe_event) * ring_count)) {
     // Ring allocation refused: buffer mode. Every event spills producer-side
     // and the whole replay runs at finalize — full fidelity, no overlap.
@@ -1544,18 +935,6 @@ void parallel_detector::begin(unsigned workers) {
     im.pstates.push_back(std::move(ps));
   }
 
-  if (shared_mode) {
-    im.shared = std::make_unique<impl::shared_structure>();
-    race_detector::options owner_opts = im.opts;
-    owner_opts.detect_threads = 0;
-    owner_opts.fail_fast = false;
-    owner_opts.trace_path.clear();
-    owner_opts.shadow_reserve = 0;  // the owner sees no access events
-    im.shared->owner = std::make_unique<race_detector>(owner_opts);
-    im.shared->owner->set_trace_muted(true);
-    im.shared->rp = std::make_unique<dfs_replayer>(im.shared->owner.get());
-  }
-
   im.checkers.reserve(im.checker_count);
   for (unsigned w = 0; w < im.checker_count; ++w) {
     auto c = std::make_unique<impl::checker>();
@@ -1575,22 +954,13 @@ void parallel_detector::begin(unsigned workers) {
     if (im.checker_count > 1) {
       c->det->configure_shard(im.tune.chunk_shift, w, im.checker_count);
     }
-    if (shared_mode) {
-      // No private replayer, no private graph use: structure resolves
-      // against the owner, read-only.
-      c->det->attach_shared_structure(im.shared->owner.get(),
-                                      &im.shared->query_mutex);
-    } else {
-      c->rp = std::make_unique<dfs_replayer>(c->det.get());
-    }
+    c->rp = std::make_unique<dfs_replayer>(c->det.get());
     im.checkers.push_back(std::move(c));
   }
   if (im.buffer_mode) {
     for (auto& cp : im.checkers) {
       cp->dead.store(true, std::memory_order_relaxed);
     }
-    // Everything spills; finalize replays single-threaded in both modes.
-    if (im.shared) im.shared->dead.store(true, std::memory_order_relaxed);
     return;
   }
   for (auto& cp : im.checkers) {
@@ -1604,11 +974,7 @@ void parallel_detector::begin(unsigned workers) {
       // while checkers run; the impl's address is stable.
       c.thread = std::thread([im_ptr = &im, &c] {
         try {
-          if (im_ptr->shared) {
-            im_ptr->checker_loop_shared(c);
-          } else {
-            im_ptr->checker_loop(c);
-          }
+          im_ptr->checker_loop(c);
         } catch (...) {
           // Unexpected checker failure behaves like a kill: the shard goes
           // dead, producers spill, finalize takes over inline.
@@ -1620,29 +986,6 @@ void parallel_detector::begin(unsigned workers) {
       // Thread-start failure: dead from the start, counted like a death.
       c.dead.store(true, std::memory_order_relaxed);
       c.thread_started = true;
-    }
-  }
-  if (im.shared) {
-    impl::shared_structure& sh = *im.shared;
-    sh.rings.reserve(im.producers);
-    for (unsigned p = 0; p < im.producers; ++p) {
-      sh.rings.push_back(std::make_unique<event_ring>(cap));
-    }
-    try {
-      sh.thread = std::thread([im_ptr = &im] {
-        try {
-          im_ptr->writer_loop();
-        } catch (...) {
-          // An escaped exception (e.g. an injected epoch-reset fault mid-
-          // apply) behaves like a writer kill: producers spill structure,
-          // finalize replays single-threaded.
-          im_ptr->shared->dead.store(true, std::memory_order_release);
-        }
-      });
-      sh.thread_started = true;
-    } catch (...) {
-      sh.dead.store(true, std::memory_order_relaxed);
-      sh.thread_started = true;
     }
   }
 }
@@ -1696,7 +1039,7 @@ void parallel_detector::emit_read_range(unsigned worker, task_id t,
   impl::producer_state& ps = *impl_->pstates[worker];
   ++ps.access_events;
   impl_->emit_range_split(worker, false, t, addr, count, stride, site,
-                          impl_->access_seq(ps, t));
+                          ps.events++);
 }
 
 void parallel_detector::emit_write_range(unsigned worker, task_id t,
@@ -1705,7 +1048,7 @@ void parallel_detector::emit_write_range(unsigned worker, task_id t,
   impl::producer_state& ps = *impl_->pstates[worker];
   ++ps.access_events;
   impl_->emit_range_split(worker, true, t, addr, count, stride, site,
-                          impl_->access_seq(ps, t));
+                          ps.events++);
 }
 
 void parallel_detector::emit_region_retire(unsigned worker, task_id t,
@@ -1753,7 +1096,6 @@ std::size_t parallel_detector::memory_bytes() const {
 
 std::size_t parallel_detector::structure_bytes() const {
   impl_->finalize();
-  if (impl_->shared) return impl_->shared->owner->structure_bytes();
   std::size_t total = 0;
   for (const auto& cp : impl_->checkers) {
     total += cp->det->structure_bytes();

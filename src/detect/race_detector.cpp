@@ -323,38 +323,9 @@ bool race_detector::ordered(task_id before, task_id after,
                             precede_cache& cache) {
   if (before == k_invalid_task) return true;
   if (const bool* hit = cache.lookup(before)) return *hit;
-  const bool verdict = backend_precedes(before, after);
+  const bool verdict = backend_->precedes(before, after);
   cache.store(before, verdict);
   return verdict;
-}
-
-bool race_detector::backend_precedes(task_id a, task_id b) {
-  if (shared_owner_ == nullptr) [[likely]] {
-    return backend_->precedes(a, b);
-  }
-  // Shared-structure checker: query the owner's backend. Count first —
-  // precede_backend::precedes counts before its invalid check, and the sum
-  // of shared_queries_ over shards must reproduce the serial count.
-  ++shared_queries_;
-  if (a == k_invalid_task) return true;
-  dsr::precede_backend& be = *shared_owner_->backend_;
-  if (be.concurrent_readable()) {
-    const int verdict = be.query_shared(a, b);
-    if (verdict >= 0) return verdict != 0;
-  }
-  // Mutating answer paths (graph search, DSU path halving, memo) are
-  // serialized across shards; the base memo is bypassed so no shard's query
-  // perturbs another's hit pattern.
-  ++shared_lock_fallbacks_;
-  std::lock_guard<std::mutex> lock(*shared_mutex_);
-  return be.query_locked(a, b);
-}
-
-dsr::precede_explanation race_detector::explain_structure(task_id first,
-                                                          task_id second) {
-  if (shared_owner_ == nullptr) return graph_.explain(first, second);
-  std::lock_guard<std::mutex> lock(*shared_mutex_);
-  return shared_owner_->graph_.explain(first, second);
 }
 
 void race_detector::check_read_cell(shadow_cell& cell, task_id t, site_id sid,
@@ -475,7 +446,7 @@ void race_detector::on_canonical_read(task_id t, const void* addr,
   // reader is recorded unless a surviving parallel *async* reader already
   // covers an async reader (Lemma 4); future readers are always recorded.
   ++reads_;
-  if (structure_degraded()) {
+  if (graph_degraded_) {
     shadow_.count_only();
     return;
   }
@@ -506,7 +477,7 @@ void race_detector::on_canonical_write(task_id t, const void* addr,
   // Algorithm 8: check every stored reader and the previous writer; readers
   // that precede the write retire, racing readers stay recorded.
   ++writes_;
-  if (structure_degraded()) {
+  if (graph_degraded_) {
     shadow_.count_only();
     return;
   }
@@ -533,7 +504,7 @@ bool race_detector::try_summary_read(shadow_memory::direct_range& slab,
   const std::uint64_t pre_readers = s.reader.task == k_invalid_task ? 0 : 1;
   bool covered = false;
   if (s.reader.task != k_invalid_task) {
-    if (backend_precedes(s.reader.task, t)) {
+    if (backend_->precedes(s.reader.task, t)) {
       s.reader = reader_entry{};
     } else if (!is_joinable(s.reader.task) && !is_joinable(t)) {
       covered = true;
@@ -543,7 +514,7 @@ bool race_detector::try_summary_read(shadow_memory::direct_range& slab,
       return false;
     }
   }
-  if (s.writer != k_invalid_task && !backend_precedes(s.writer, t)) {
+  if (s.writer != k_invalid_task && !backend_->precedes(s.writer, t)) {
     // Write-read race on every cell: materialize for exact per-cell
     // reports. (The reader retirement above is exactly what the per-cell
     // walk would also do, so the mutation is safe to keep.)
@@ -576,10 +547,10 @@ bool race_detector::try_summary_write(shadow_memory::direct_range& slab,
   }
   const std::uint64_t pre_readers = s.reader.task == k_invalid_task ? 0 : 1;
   if (s.reader.task != k_invalid_task) {
-    if (!backend_precedes(s.reader.task, t)) return false;  // read-write race
+    if (!backend_->precedes(s.reader.task, t)) return false;  // read-write race
     s.reader = reader_entry{};
   }
-  if (s.writer != k_invalid_task && !backend_precedes(s.writer, t)) {
+  if (s.writer != k_invalid_task && !backend_->precedes(s.writer, t)) {
     return false;  // write-write race on every cell
   }
   shadow_.note_range_direct(count);
@@ -602,7 +573,7 @@ void race_detector::on_read_range(task_id t, const void* addr,
     return;
   }
   ++range_events_;
-  if (structure_degraded()) {
+  if (graph_degraded_) {
     reads_ += count;
     shadow_.count_only_n(count);
     return;
@@ -652,7 +623,7 @@ void race_detector::on_write_range(task_id t, const void* addr,
     return;
   }
   ++range_events_;
-  if (structure_degraded()) {
+  if (graph_degraded_) {
     writes_ += count;
     shadow_.count_only_n(count);
     return;
@@ -744,10 +715,10 @@ void race_detector::report(const void* addr, const void* user_addr,
     q.addr = addr_buf;
     q.tier = shadow_.tier_name(addr);
     q.labels = [this, first, second]() {
-      if (structure_degraded()) return std::string{};
+      if (graph_degraded_) return std::string{};
       // explain() is counter- and memo-neutral, so a label-constrained rule
       // cannot perturb any Table 2 counter (see the witness capture below).
-      const dsr::precede_explanation ex = explain_structure(first, second);
+      const dsr::precede_explanation ex = graph_.explain(first, second);
       std::ostringstream out;
       append_label(out, ex.a_set_label);
       out << " || ";
@@ -801,11 +772,11 @@ void race_detector::report(const void* addr, const void* user_addr,
   materialized.second_task = second;
   materialized.first_site = sites_.resolve(first_site);
   materialized.second_site = sites_.resolve(second_site);
-  if (!structure_degraded()) {
+  if (!graph_degraded_) {
     // The witness: re-run PRECEDE purely for provenance. explain() touches
     // neither the stats counters nor the memo table, so capturing it here
     // cannot perturb any Table 2 counter or cached verdict.
-    dsr::precede_explanation ex = explain_structure(first, second);
+    dsr::precede_explanation ex = graph_.explain(first, second);
     race_witness& w = materialized.witness;
     w.valid = true;
     w.first_label = ex.a_label;
@@ -872,8 +843,7 @@ detector_counters race_detector::counters() const {
   c.hashed_hits = ss.hashed_hits;
   c.memo_hits = gs.memo_hits;
   c.stamp_hits = stamp_hits_;
-  c.precede_queries =
-      shared_owner_ != nullptr ? shared_queries_ : gs.precede_queries;
+  c.precede_queries = gs.precede_queries;
   c.range_events = range_events_;
   c.range_hits = range_hits_;
   c.summary_hits = summary_hits_;
@@ -881,11 +851,7 @@ detector_counters race_detector::counters() const {
 }
 
 std::size_t race_detector::memory_bytes() const {
-  // A shared-structure checker does not own its graph/backend footprint —
-  // the structure owner counts those bytes exactly once.
-  const std::size_t structure =
-      shared_owner_ != nullptr ? 0 : structure_bytes();
-  return structure + shadow_.memory_bytes() +
+  return structure_bytes() + shadow_.memory_bytes() +
          kinds_.capacity() * sizeof(task_kind) + put_flags_.capacity();
 }
 

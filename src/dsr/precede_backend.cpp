@@ -148,24 +148,6 @@ class depa_backend final : public precede_backend {
            (dsu_parent_.capacity() + anchor_.capacity()) * sizeof(task_id);
   }
 
-  bool concurrent_readable() const noexcept override { return true; }
-
-  /// The lock-free subset of query(): id translation, retirement, self, and
-  /// the label-prefix test all read state that is only mutated by structure
-  /// events — which the shared-structure writer applies strictly between
-  /// reader runs. The DSU overlay is excluded: dsu_find() path-halves even
-  /// on the query path, so it stays behind the structure mutex along with
-  /// the graph fallback.
-  int query_shared(task_id a, task_id b) const noexcept override {
-    const epoch_id_map& m = graph_.id_map();
-    const task_id ai = m.to_index(a);
-    if (ai == k_invalid_task) return 1;  // retired: fully ordered
-    const task_id bi = m.to_index(b);
-    if (ai == bi) return 1;
-    if (!graph_.terminated(a) && labels_.is_prefix_shared(ai, bi)) return 1;
-    return -1;
-  }
-
  protected:
   std::uint64_t memo_key(task_id a) override { return a; }
   std::uint64_t mutation_stamp() const override { return compactions_; }
@@ -332,21 +314,6 @@ class vc_backend final : public precede_backend {
   std::size_t memory_bytes() const override {
     return clock_bytes() + clocks_.capacity() * sizeof(bits) +
            taint_.capacity();
-  }
-
-  bool concurrent_readable() const noexcept override { return true; }
-
-  /// Clocks and taint bits mutate only at structure events, so the bit test
-  /// is safe between writer applications; the graph fallback (and the
-  /// bit_tests_ diagnostic) stays behind the structure mutex.
-  int query_shared(task_id a, task_id b) const noexcept override {
-    const epoch_id_map& m = graph_.id_map();
-    const task_id ai = m.to_index(a);
-    if (ai == k_invalid_task) return 1;  // retired: fully ordered
-    const task_id bi = m.to_index(b);
-    if (ai == bi) return 1;
-    if (taint_[bi] == 0 && test_bit(clocks_[bi], ai)) return 1;
-    return -1;
   }
 
  protected:

@@ -34,10 +34,6 @@ std::uint32_t pipe_ring_full_slow(fault_injector& inj) noexcept {
   return inj.pipe_ring_full();
 }
 
-bool pipe_structure_slow(fault_injector& inj) noexcept {
-  return inj.pipe_structure_kill();
-}
-
 }  // namespace detail
 
 namespace {
@@ -77,8 +73,6 @@ fault_injector::counters fault_injector::snapshot() const noexcept {
   c.pipe_stalls = pipe_stalls_.load(std::memory_order_relaxed);
   c.pipe_kills = pipe_kills_.load(std::memory_order_relaxed);
   c.pipe_forced_fulls = pipe_forced_fulls_.load(std::memory_order_relaxed);
-  c.pipe_structure_kills =
-      pipe_structure_kills_.load(std::memory_order_relaxed);
   return c;
 }
 
@@ -167,15 +161,6 @@ std::uint32_t fault_injector::pipe_ring_full() noexcept {
   if (n != plan_.pipe_ring_full_at) return 0;
   pipe_forced_fulls_.fetch_add(1, std::memory_order_relaxed);
   return plan_.pipe_ring_full_spins == 0 ? 64 : plan_.pipe_ring_full_spins;
-}
-
-bool fault_injector::pipe_structure_kill() noexcept {
-  if (plan_.pipe_structure_kill_at == 0) return false;
-  if (ordinal_fires(pipe_structure_events_, plan_.pipe_structure_kill_at)) {
-    pipe_structure_kills_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-  return false;
 }
 
 bool fault_injector::force_yield() noexcept {

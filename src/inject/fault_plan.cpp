@@ -26,9 +26,6 @@ std::string fault_plan::describe() const {
     out << "pipe-ring-full@" << pipe_ring_full_at << "x"
         << pipe_ring_full_spins << " ";
   }
-  if (pipe_structure_kill_at != 0) {
-    out << "pipe-structure-kill@" << pipe_structure_kill_at << " ";
-  }
   std::string s = out.str();
   if (s.empty()) return "no-faults";
   s.pop_back();  // trailing space
@@ -63,9 +60,6 @@ void define_fault_flags(support::flag_parser& flags) {
                "force ring-full backpressure at the Nth push (0 = off)");
   flags.define("fault-pipe-ring-spins", "64",
                "backpressure spins forced by --fault-pipe-ring-full");
-  flags.define("fault-pipe-structure-kill", "0",
-               "kill the shared-structure writer before its Nth structure "
-               "event (0 = off)");
 }
 
 fault_plan fault_plan_from_flags(const support::flag_parser& flags) {
@@ -94,8 +88,6 @@ fault_plan fault_plan_from_flags(const support::flag_parser& flags) {
       static_cast<std::uint64_t>(flags.get_int("fault-pipe-ring-full"));
   plan.pipe_ring_full_spins =
       static_cast<std::uint32_t>(flags.get_int("fault-pipe-ring-spins"));
-  plan.pipe_structure_kill_at =
-      static_cast<std::uint64_t>(flags.get_int("fault-pipe-structure-kill"));
   return plan;
 }
 

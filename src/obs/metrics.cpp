@@ -159,11 +159,6 @@ support::json pipe_json(const detect::pipeline_stats& p) {
   pipe["workers_died"] = p.workers_died;
   pipe["occupancy_pct"] = p.occupancy_pct();
   pipe["backpressure_waits"] = p.backpressure_waits;
-  // Shared-structure mode (parallel_pipeline --structure=shared); zero
-  // elsewhere. Load-dependent, classified advisory_load by bench_diff.
-  pipe["structure_admit_lag_max"] = p.structure_admit_lag_max;
-  pipe["checker_wait_spins"] = p.checker_wait_spins;
-  pipe["shared_graph_bytes"] = p.shared_graph_bytes;
   return pipe;
 }
 

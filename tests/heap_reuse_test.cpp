@@ -17,7 +17,7 @@
 //    actually exercises the hole.
 //
 // Modes: serial inline, serial pipelined (detect_threads=2), and
-// parallel-detect at workers=1 under both structure modes.
+// parallel-detect at workers=1.
 
 #include <gtest/gtest.h>
 
@@ -90,14 +90,12 @@ verdict run_serial(bool hooks, unsigned detect_threads) {
   return v;
 }
 
-verdict run_parallel(bool hooks, detect::structure_mode structure) {
+verdict run_parallel(bool hooks) {
   scoped_hooks arm;
   alignas(8) unsigned char slab[8] = {};
   detect::race_detector::options opts;
   opts.instrument_heap = hooks;
-  detect::parallel_detector::tuning tune;
-  tune.structure = structure;
-  detect::parallel_detector det(opts, tune);
+  detect::parallel_detector det(opts);
   runtime rt({.mode = exec_mode::parallel_detect, .workers = 1});
   rt.add_parallel_sink(&det);
   rt.run([&] { reuse_program(slab, hooks); });
@@ -133,18 +131,9 @@ TEST(HeapReuse, PipelinedFreshIdentity) {
 }
 
 TEST(HeapReuse, ParallelDetectReplicatedFreshIdentity) {
-  expect_reuse_clean(run_parallel(true, detect::structure_mode::replicated),
-                     "parallel-detect replicated");
-  expect_control_races(
-      run_parallel(false, detect::structure_mode::replicated),
-      "parallel-detect replicated control");
-}
-
-TEST(HeapReuse, ParallelDetectSharedFreshIdentity) {
-  expect_reuse_clean(run_parallel(true, detect::structure_mode::shared),
-                     "parallel-detect shared");
-  expect_control_races(run_parallel(false, detect::structure_mode::shared),
-                       "parallel-detect shared control");
+  expect_reuse_clean(run_parallel(true), "parallel-detect replicated");
+  expect_control_races(run_parallel(false),
+                       "parallel-detect replicated control");
 }
 
 /// Many reuse generations through one address: every generation must stay

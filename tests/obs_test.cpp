@@ -359,52 +359,44 @@ TEST(TraceGolden, PipelinedTraceParsesAndClosesRootSlice) {
 TEST(TraceGolden, ParallelDetectTraceParsesAndClosesRootSlice) {
   // --trace in parallel-detect mode: the execution lanes come from the
   // producers (the engine workers), the inner detectors are trace-muted,
-  // and the document must be valid golden-schema Chrome JSON. Exercised
-  // under both structure modes — the lane emission path is shared.
+  // and the document must be valid golden-schema Chrome JSON.
   shared_array<int> data(32);
-  for (const detect::structure_mode mode :
-       {detect::structure_mode::replicated, detect::structure_mode::shared}) {
-    const std::string path = testing::TempDir() +
-                             "futrace_trace_pardet_" +
-                             std::to_string(int(mode)) + ".json";
-    {
-      detect::race_detector::options opts;
-      opts.trace_path = path;
-      detect::parallel_detector::tuning tune;
-      tune.structure = mode;
-      detect::parallel_detector det(opts, tune);
-      runtime rt({.mode = exec_mode::parallel_detect, .workers = 2});
-      rt.add_parallel_sink(&det);
-      rt.run([&data] {
-        finish([&data] {
-          async([&data] {
-            for (std::size_t i = 0; i < data.size(); ++i) data.write(i, 1);
-          });
+  const std::string path = testing::TempDir() + "futrace_trace_pardet.json";
+  {
+    detect::race_detector::options opts;
+    opts.trace_path = path;
+    detect::parallel_detector det(opts);
+    runtime rt({.mode = exec_mode::parallel_detect, .workers = 2});
+    rt.add_parallel_sink(&det);
+    rt.run([&data] {
+      finish([&data] {
+        async([&data] {
+          for (std::size_t i = 0; i < data.size(); ++i) data.write(i, 1);
         });
       });
-      ASSERT_TRUE(det.parallel_active());
-      EXPECT_FALSE(det.race_detected());
-    }  // detector destruction flushes the JSON
-    std::ifstream in(path);
-    ASSERT_TRUE(in) << "parallel-detect trace not written: " << path;
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const json doc = json::parse(buf.str());
+    });
+    ASSERT_TRUE(det.parallel_active());
+    EXPECT_FALSE(det.race_detected());
+  }  // detector destruction flushes the JSON
+  std::ifstream in(path);
+  ASSERT_TRUE(in) << "parallel-detect trace not written: " << path;
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  const json doc = json::parse(buf.str());
 
-    // Producer lanes interleave across workers, but per task every
-    // task_begin ("B") still pairs with a task end ("E"), root included.
-    int begins = 0, ends = 0;
-    const json* list = doc.find("traceEvents");
-    ASSERT_NE(list, nullptr);
-    for (std::size_t i = 0; i < list->size(); ++i) {
-      const std::string& ph = list->at(i).find("ph")->as_string();
-      if (ph == "B") ++begins;
-      if (ph == "E") ++ends;
-    }
-    EXPECT_GT(begins, 0);
-    EXPECT_EQ(begins, ends);
-    std::remove(path.c_str());
+  // Producer lanes interleave across workers, but per task every
+  // task_begin ("B") still pairs with a task end ("E"), root included.
+  int begins = 0, ends = 0;
+  const json* list = doc.find("traceEvents");
+  ASSERT_NE(list, nullptr);
+  for (std::size_t i = 0; i < list->size(); ++i) {
+    const std::string& ph = list->at(i).find("ph")->as_string();
+    if (ph == "B") ++begins;
+    if (ph == "E") ++ends;
   }
+  EXPECT_GT(begins, 0);
+  EXPECT_EQ(begins, ends);
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -112,8 +112,9 @@ struct serial_ref {
   std::vector<report_sig> sigs;
 };
 
-serial_ref run_serial(progen::program_trace& prog, dsr::backend_kind backend) {
-  race_detector det(base_opts(backend));
+serial_ref run_serial(progen::program_trace& prog,
+                      race_detector::options opts) {
+  race_detector det(opts);
   runtime rt({.mode = exec_mode::serial_dfs});
   rt.add_observer(&det);
   rt.run([&] { prog(); });
@@ -126,14 +127,24 @@ serial_ref run_serial(progen::program_trace& prog, dsr::backend_kind backend) {
   return ref;
 }
 
+serial_ref run_serial(progen::program_trace& prog, dsr::backend_kind backend) {
+  return run_serial(prog, base_opts(backend));
+}
+
 parallel_detector run_parallel(progen::program_trace& prog,
-                               dsr::backend_kind backend, unsigned workers,
+                               race_detector::options opts, unsigned workers,
                                parallel_detector::tuning tune = {}) {
-  parallel_detector det(base_opts(backend), tune);
+  parallel_detector det(opts, tune);
   runtime rt({.mode = exec_mode::parallel_detect, .workers = workers});
   rt.add_parallel_sink(&det);
   rt.run([&] { prog(); });
   return det;
+}
+
+parallel_detector run_parallel(progen::program_trace& prog,
+                               dsr::backend_kind backend, unsigned workers,
+                               parallel_detector::tuning tune = {}) {
+  return run_parallel(prog, base_opts(backend), workers, tune);
 }
 
 void expect_matches(const parallel_detector& det, const serial_ref& ref,
@@ -205,6 +216,45 @@ TEST(ParDetectDiff, TinyRingBackpressure) {
   tune.ring_capacity = 8;
   parallel_detector det = run_parallel(prog, dsr::backend_kind::graph, 4, tune);
   expect_matches(det, ref, prog, "ring=8");
+}
+
+/// The batched-publish flush policy (options::ring_batch) must be
+/// invariant: batch boundaries only move events between publish calls,
+/// and every staged access is flushed before the next structure event.
+TEST(ParDetectDiff, BatchSizeInvariant) {
+  progen::program_trace prog(racy_config(19));
+  const serial_ref ref = run_serial(prog, dsr::backend_kind::graph);
+  for (const std::size_t batch : {std::size_t{0}, std::size_t{1},
+                                  std::size_t{4}, std::size_t{64}}) {
+    race_detector::options opts = base_opts(dsr::backend_kind::graph);
+    opts.ring_batch = batch;
+    parallel_detector det = run_parallel(prog, opts, 4);
+    expect_matches(det, ref, prog, "batch=" + std::to_string(batch));
+  }
+}
+
+/// Epoch compaction runs inside every checker replica at the same
+/// quiescent points as the serial run with the same interval, so verdicts
+/// and paper counters still match exactly. Seeds 6 and 75 are traces that
+/// reach a quiescent root-level spawn (most seeds never do at interval 8).
+TEST(ParDetectDiff, EpochCompactionMatchesSerial) {
+  for (const std::uint64_t seed : {6u, 75u}) {
+    progen::program_trace prog(racy_config(seed));
+    for (const dsr::backend_kind backend :
+         {dsr::backend_kind::graph, dsr::backend_kind::depa}) {
+      race_detector::options opts = base_opts(backend);
+      opts.epoch_reset_interval = 8;
+      const serial_ref ref = run_serial(prog, opts);
+      parallel_detector det = run_parallel(prog, opts, 4);
+      const std::string label = "seed=" + std::to_string(seed) +
+                                " epoch_interval=8 backend=" +
+                                std::to_string(int(backend));
+      expect_matches(det, ref, prog, label);
+      EXPECT_GT(ref.counters.epoch_resets, 0u) << label;
+      EXPECT_EQ(det.counters().epoch_resets, ref.counters.epoch_resets)
+          << label;
+    }
+  }
 }
 
 /// Schedule perturbation (seeded steal victims + forced yields) must not

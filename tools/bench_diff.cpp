@@ -81,8 +81,10 @@ key_class classify(const std::string& raw_key) {
   // Pipeline fill metrics (bench/table2 --detect-threads): ring occupancy
   // and backpressure spins depend on the OS schedule, not the trace, so a
   // swing in either direction is reported but never gated — not even under
-  // --strict-time.
-  if (contains(key, "occupancy") || contains(key, "backpressure")) {
+  // --strict-time. The parallel-detect structure footprint tracks allocator
+  // behavior, so it is advisory too.
+  if (contains(key, "occupancy") || contains(key, "backpressure") ||
+      contains(key, "structure_bytes")) {
     return key_class::advisory_load;
   }
   // Parallel-detect transport diagnostics (bench/table2 --exec=
@@ -93,13 +95,6 @@ key_class classify(const std::string& raw_key) {
       contains(key, "steal") || contains(key, "stall") ||
       contains(key, "drain") || contains(key, "demux") ||
       contains(key, "takeover")) {
-    return key_class::advisory_load;
-  }
-  // Shared-structure mode (bench/table2 --structure=shared): admitted-
-  // position lag, checker fence spins, and the shared graph footprint all
-  // track load and allocator behavior, not the trace — advisory.
-  if (contains(key, "admit_lag") || contains(key, "wait_spins") ||
-      contains(key, "shared_graph") || contains(key, "structure_bytes")) {
     return key_class::advisory_load;
   }
   // Speedup-vs-serial is wall-clock and worker-count dependent: advisory
@@ -394,18 +389,9 @@ int self_test() {
   expect(run(R"({"workers": 4})", R"({"workers": 1})") == 0,
          "worker-count drop alone does not gate");
 
-  // Shared-structure keys from bench/table2 --structure=shared: the
-  // admitted-position lag and fence spins track the OS schedule, and the
-  // shared graph footprint tracks allocator behavior — all advisory.
-  expect(run(R"({"structure_admit_lag_max": 1})",
-             R"({"structure_admit_lag_max": 2})") == 0,
-         "admit-lag swings are never gated");
-  expect(run(R"({"checker_wait_spins": 10})",
-             R"({"checker_wait_spins": 90000})") == 0,
-         "checker fence spins are never gated");
-  expect(run(R"({"shared_graph_bytes": 4096})",
-             R"({"shared_graph_bytes": 65536})") == 0,
-         "shared-graph footprint swings are never gated");
+  expect(run(R"({"structure_bytes": 4096})",
+             R"({"structure_bytes": 65536})") == 0,
+         "structure-footprint swings are never gated");
 
   cfg.strict_time = true;
   expect(run(R"({"seq_ms": 10})", R"({"seq_ms": 100})") == 1,
