@@ -4,11 +4,8 @@
 // purely through promises; the detector verifies the wiring, then the same
 // program runs on the parallel pool.
 //
-//        source
-//        /    \
-//     left    right
-//        \    /
-//         sink
+//   source --> left  --> sink
+//   source --> right --> sink
 
 #include <cstdio>
 

@@ -3,8 +3,8 @@
 /// \file parallel_pipeline.hpp
 /// Parallel-execution race detection (`exec_mode::parallel_detect`): the
 /// work-stealing engine runs the program for real on P workers while W shard
-/// checkers detect races concurrently. This generalizes the pipelined
-/// detector (pipeline.hpp, one serial producer) to P producers:
+/// checkers detect races concurrently. The pipelined detector (pipeline.hpp)
+/// is this class with one producer, fed by the serial engine:
 ///
 ///   engine workers (P threads)             shard checkers (W threads)
 ///   --------------------------             --------------------------
@@ -18,10 +18,10 @@
 /// task end, finish, get, put) are broadcast to all W of the emitting
 /// worker's rings; access events are canonicalized producer-side (span_of
 /// against the live element geometry) and routed to the owning shard, range
-/// events split at chunk boundaries exactly as in the pipelined detector.
+/// events split at chunk boundaries into numbered sub-events.
 ///
-/// Unlike the serial pipeline, per-ring FIFO order is no longer a global
-/// epoch barrier: P streams interleave arbitrarily. The merge key is *DAG
+/// With P > 1, per-ring FIFO order is no global epoch barrier: P streams
+/// interleave arbitrarily. The merge key is *DAG
 /// position* — every event carries its producing task's pid (the engine's
 /// spawn-order id) and per-task step counter, and each checker demuxes its
 /// rings into per-pid FIFO queues (a pid executes on one OS thread, so its
@@ -34,10 +34,13 @@
 /// Each replica therefore observes the exact event stream the inline
 /// serial detector would have seen — structure events are admitted in
 /// happens-before (serial DFS) order before any dependent access event —
-/// so verdicts, canonically-sorted reports, and paper counters are
+/// so verdicts, reports (in inline order), and paper counters are
 /// bit-identical to the serial inline run by construction (DESIGN.md §14).
+/// While nothing is queued, an event of the replay's current source is
+/// applied on arrival (the FIFO fast path every single-producer event
+/// takes).
 ///
-/// Failure model mirrors the pipeline: a full ring backpressures the
+/// Failure model: a full ring backpressures the
 /// emitting worker; a checker that dies (fault injection, thread-start or
 /// ring-allocation failure) flips its shard to spill mode — producers
 /// buffer that shard's events locally (still single-producer), and the
@@ -81,8 +84,8 @@ struct parallel_pipeline_stats {
 /// under {.mode = exec_mode::parallel_detect, .workers = P}, query results
 /// after run() returns (queries finalize: join checkers, finish the replay,
 /// merge shards). The query surface mirrors pipelined_detector; reports()
-/// is canonically sorted (race_report.hpp) so output is byte-comparable
-/// across schedules.
+/// is the serial inline detector's list, in order, so output is
+/// byte-comparable across schedules.
 class parallel_detector final : public detail::parallel_sink {
  public:
   struct tuning {
@@ -133,11 +136,14 @@ class parallel_detector final : public detail::parallel_sink {
   bool race_detected() const;
   std::uint64_t race_count() const;
   bool degraded() const;
-  /// Canonically sorted by report_canonical_less; byte-comparable across
-  /// schedules and worker counts.
+  /// The serial inline detector's report list, in its order (also under
+  /// max_reports): shards' reports merge by replay position. Byte-comparable
+  /// across schedules and worker counts.
   const std::vector<race_report>& reports() const;
   std::vector<const void*> racy_locations() const;
   detector_counters counters() const;
+  /// Sum over the checker replicas; walks every shadow tier, so it is
+  /// computed on each call rather than at finalize.
   std::size_t memory_bytes() const;
   /// Footprint of the reachability structures alone: the sum over the W
   /// checker replicas (each holds a full graph + PRECEDE backend).

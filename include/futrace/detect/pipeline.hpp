@@ -1,41 +1,39 @@
 #pragma once
 
 /// \file pipeline.hpp
-/// Pipelined, address-sharded race detection: overlap the instrumented
-/// serial execution with race checking instead of paying the full detector
-/// on the execution thread.
+/// Pipelined race detection (`--detect-threads=N`): overlap the serial
+/// depth-first execution with race checking instead of paying the full
+/// detector on the execution thread.
 ///
-///   execution thread                      checker workers (W threads)
-///   ----------------                      ---------------------------
-///   run program, observe events  ──ring 0──►  worker 0: graph replica +
-///   span_of + shard routing      ──ring 1──►  worker 1:   shadow shard
-///   (~tens of ns per event)          ...         ...
+/// Pipelined mode is parallel-detect fed by the serial engine (DESIGN.md
+/// §10): a private parallel_detector (parallel_pipeline.hpp) with one
+/// producer — the execution thread — and N address-sharded checkers. The
+/// observer stream is translated onto the parallel wire:
 ///
-/// Architecture (DESIGN.md §10): every worker owns a complete private
-/// race_detector — its own reachability-graph replica and a shadow memory
-/// clipped to the address chunks it owns (shard.hpp). Graph events (spawn,
-/// end, finish, get, put) are broadcast to every ring; access events are
-/// routed to exactly one worker by address. Because a mutation rides in the
-/// same FIFO as the accesses it orders, a worker can never check an access
-/// against a graph state other than the one the serial execution had — per
-/// -ring FIFO order *is* the epoch barrier, with no coordinator thread and
-/// no shared mutable detector state.
+///   - every task id becomes the pid of its continuation chain's base task;
+///   - continuation spawns and their task ends are dropped, because the
+///     checkers' replayer re-derives every split, and the root's task end
+///     is dropped, because the replayer closes the root at EOF;
+///   - on_finish_start becomes emit_finish_begin, and finish ends carry no
+///     joined list (the replayer rebuilds it);
+///   - puts are numbered: a promise get carries its put's ordinal, a future
+///     get the producing pid.
 ///
-/// Determinism: per-location verdicts are exactly the inline detector's
-/// (one worker sees all accesses of a location, in serial order, against
-/// the correct graph), merged reports reproduce the inline report sequence
-/// (workers tag reports with the serial event number; a deterministic merge
-/// reorders them), and the paper-level counters of Table 2 are exact sums /
-/// maxima over shards. Engine-tier diagnostics (direct/hashed/stamp hit
-/// counts and the like) are layout-dependent and only comparable between
-/// runs of the same configuration.
+/// The single producer emits in serial order, so every checker's replayer
+/// applies each event as it arrives (its FIFO fast path). Verdicts, the
+/// report list (inline order, also under max_reports) and the paper-level
+/// counters of Table 2 equal the inline detector's; engine-tier diagnostics
+/// (direct/hashed/stamp hit counts and the like) depend on the sharding and
+/// are only comparable between runs of the same configuration.
 ///
-/// Failure model: a full ring means backpressure (the producer spins),
-/// never allocation or drops. A checker worker that dies mid-run (fault
-/// injection, thread-start failure) degrades the pipeline to inline
-/// checking for that shard — sticky and counted, never a deadlock or a
-/// lost event. options::fail_fast forces inline mode outright: the first
-/// race must throw at the faulting access on the execution thread.
+/// Failure model (parallel-detect's): a full ring backpressures the
+/// execution thread. A checker that dies (fault injection, thread-start
+/// failure) flips its shard to spill mode: the producer buffers the shard's
+/// events, and finalize replays them on the querying thread. A refused ring
+/// allocation spills every event from the start. Sticky, counted, never a
+/// deadlock or a lost event. options::fail_fast forces inline mode
+/// outright: the first race must throw at the faulting access on the
+/// execution thread.
 
 #include <cstdint>
 #include <memory>
@@ -51,9 +49,9 @@ namespace futrace::detect {
 /// are timing/address-dependent diagnostics, never equality-gated across
 /// configurations).
 struct pipeline_stats {
-  std::uint64_t workers = 0;        // checker threads actually started
-  std::uint64_t ring_capacity = 0;  // slots per ring (rounded to pow2)
-  std::uint64_t events = 0;         // serial observer events streamed
+  std::uint64_t workers = 0;        // shard checkers
+  std::uint64_t ring_capacity = 0;  // slots per ring (pow2; 0 = no rings)
+  std::uint64_t events = 0;         // wire events emitted by producers
   std::uint64_t access_events = 0;  // subset routed by address
   /// Extra sub-events minted when a range access straddled chunk owners.
   std::uint64_t split_subevents = 0;
@@ -62,9 +60,10 @@ struct pipeline_stats {
   /// Ring fill-level sampling (every 64th push), for the Pipe% column.
   std::uint64_t occupancy_samples = 0;
   std::uint64_t occupancy_sum = 0;
-  /// Events applied inline on the execution thread after a worker died or
-  /// the pipeline could not be constructed. Sticky degradation, not an
-  /// error: verdicts stay exact, overlap is lost for the affected shard.
+  /// Events a checker never consumed — left in its ring when it died, or
+  /// spilled producer-side after its death or a refused ring allocation —
+  /// and replayed at finalize instead. Sticky degradation, not an error:
+  /// verdicts stay exact, overlap is lost for the affected shard.
   std::uint64_t inline_fallbacks = 0;
   std::uint64_t workers_died = 0;
 
@@ -79,16 +78,18 @@ struct pipeline_stats {
 
 /// Drop-in replacement for attaching a race_detector directly: construct
 /// with options whose detect_threads selects inline (0) or pipelined (N)
-/// checking, attach to the runtime, query results after run(). Queries
-/// finalize the pipeline (join workers, merge shards) on first use.
+/// checking, attach to the runtime, query results after run(). In pipelined
+/// mode every query (pipe_stats() included) finalizes on first use: it
+/// closes the stream, joins the checkers and merges the shards, so query
+/// only after the run.
 class pipelined_detector final : public execution_observer {
  public:
   struct tuning {
-    /// Slots per worker ring (rounded up to a power of two). 16Ki slots =
+    /// Slots per checker ring (rounded up to a power of two). 16Ki slots =
     /// 1 MiB per ring: deep enough to absorb checker hiccups, small enough
     /// to stay resident in L2/L3.
     std::size_t ring_capacity = std::size_t{1} << 14;
-    /// log2 of the address-chunk size dealt round-robin to workers.
+    /// log2 of the address-chunk size dealt round-robin to checkers.
     unsigned chunk_shift = k_default_chunk_shift;
   };
 
@@ -105,6 +106,7 @@ class pipelined_detector final : public execution_observer {
   void on_program_start(task_id root) override;
   void on_task_spawn(task_id parent, task_id child, task_kind kind) override;
   void on_task_end(task_id t) override;
+  void on_finish_start(task_id owner) override;
   void on_finish_end(task_id owner, std::span<const task_id> joined) override;
   void on_get(task_id waiter, task_id target) override;
   void on_promise_put(task_id fulfiller) override;
@@ -134,9 +136,10 @@ class pipelined_detector final : public execution_observer {
   /// options::suppressions), summed across shards in pipelined mode.
   std::vector<std::uint64_t> suppression_hits() const;
 
-  /// True when events are being streamed to checker threads (false in
-  /// inline mode: detect_threads == 0, fail_fast, or a refused ring
-  /// allocation at construction).
+  /// True when events go to the concurrent checkers (false in inline mode:
+  /// detect_threads == 0 or fail_fast). A refused ring allocation keeps the
+  /// detector pipelined with every event spilled (pipe_stats().ring_capacity
+  /// == 0, inline_fallbacks > 0).
   bool pipelined() const;
 
  private:

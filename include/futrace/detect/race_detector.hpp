@@ -163,19 +163,20 @@ class race_detector final : public execution_observer {
     /// way. The native path needs the slab tier, so it engages only when
     /// enable_fastpath is also on.
     bool enable_range_checks = true;
-    /// Number of pipelined checker workers (pipeline.hpp). 0 — the default —
+    /// Number of pipelined checker threads (pipeline.hpp). 0 — the default —
     /// means inline checking on the execution thread; N >= 1 streams events
-    /// to N address-sharded workers. race_detector itself ignores the field
-    /// (it is always a single-threaded checker); pipelined_detector reads it
-    /// to decide between forwarding inline and spinning up the pipeline.
+    /// to N address-sharded checkers of a single-producer
+    /// parallel_detector. race_detector itself ignores the field (it is
+    /// always a single-threaded checker); pipelined_detector reads it to
+    /// decide between forwarding inline and starting the checkers.
     unsigned detect_threads = 0;
-    /// Producer-side ring publish batch for the parallel-detect pipeline
-    /// (parallel_pipeline.hpp): access events are staged per (producer,
-    /// shard) and published with one release store per batch instead of one
-    /// per event. Flushed at every structure event — task end included — so
-    /// an event is never published after a structure event that follows it
-    /// in program order. 0 or 1 disables staging. race_detector itself
-    /// ignores the field.
+    /// Producer-side ring publish batch for concurrent detection
+    /// (parallel_pipeline.hpp; pipelined mode included): access events are
+    /// staged per (producer, shard) and published with one release store
+    /// per batch instead of one per event. Flushed at every structure event
+    /// — task end included — so an event is never published after a
+    /// structure event that follows it in program order. 0 or 1 disables
+    /// staging. race_detector itself ignores the field.
     std::size_t ring_batch = 16;
     /// When non-empty, the detector owns an obs::trace_session for its
     /// lifetime and the Chrome trace-event JSON is written here at

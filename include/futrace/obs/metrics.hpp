@@ -175,8 +175,6 @@ support::json pipe_json(const detect::pipeline_stats& p);
 
 void add_detector_source(metrics_registry& reg,
                          std::function<detect::detector_counters()> get);
-void add_pipeline_source(metrics_registry& reg,
-                         std::function<detect::pipeline_stats()> get);
 void add_shadow_source(metrics_registry& reg,
                        std::function<detect::shadow_stats()> get);
 void add_reachability_source(metrics_registry& reg,

@@ -30,9 +30,9 @@ inline void spin_pause() noexcept {
 #endif
 }
 
-/// Bounded busy-wait (same shape as the pipeline's): pause for a short
-/// burst, then hand the core to the scheduler, because on an oversubscribed
-/// machine the thread being waited on cannot run until the waiter yields.
+/// Bounded busy-wait: pause for a short burst, then hand the core to the
+/// scheduler, because on an oversubscribed machine the thread being waited
+/// on cannot run until the waiter yields.
 struct spin_backoff {
   unsigned spins = 0;
   void wait() noexcept {
@@ -66,6 +66,39 @@ struct replay_finish {
   std::vector<task_id> joined;
 };
 
+/// Access-class events mutate only shadow state; every other op is a
+/// structure event.
+inline bool is_access(pipe_op op) noexcept {
+  switch (op) {
+    case pipe_op::read:
+    case pipe_op::write:
+    case pipe_op::read_range:
+    case pipe_op::write_range:
+    case pipe_op::region_retire:
+      return true;
+    default:
+      return false;
+  }
+}
+
+/// Replay position of one checker-local race report: structure events
+/// replayed before it, then the producer ordinal and sub-event of the access
+/// that raised it. Between two structure events every replayed access
+/// belongs to the current source pid, in that pid's program order (one
+/// producer, increasing seq), so this key sorts reports from all shards into
+/// the serial inline detector's report order.
+struct report_tag {
+  std::uint64_t segment = 0;
+  std::uint64_t seq = 0;
+  std::uint32_t sub = 0;
+
+  friend bool operator<(const report_tag& x, const report_tag& y) noexcept {
+    if (x.segment != y.segment) return x.segment < y.segment;
+    if (x.seq != y.seq) return x.seq < y.seq;
+    return x.sub < y.sub;
+  }
+};
+
 /// Reconstructs the serial depth-first observer stream from the parallel
 /// wire. Events are demuxed into per-pid FIFO queues (a pid's events arrive
 /// in its program order: its body runs on one OS thread and its ring is
@@ -75,6 +108,11 @@ struct replay_finish {
 /// get targets exactly as serial_engine would have. The replica therefore
 /// sees a stream bit-identical to the inline serial run's.
 ///
+/// FIFO fast path: while nothing is queued, an event of the current source
+/// is exactly the next event of the serial order and is applied on arrival,
+/// with no queue round trip. A single-producer stream in serial order
+/// (pipelined_detector) takes this path for every event.
+///
 /// Single-threaded: owned by one checker thread during the run, resumed on
 /// the main thread at finalize (after the checker joined).
 class dfs_replayer {
@@ -82,7 +120,13 @@ class dfs_replayer {
   explicit dfs_replayer(race_detector* det) : det_(det) {}
 
   void enqueue(const pipe_event& ev) {
+    if (queued_ == 0 && started_ && !ended_ && !source_stack_.empty() &&
+        ev.task == source_stack_.back()) [[likely]] {
+      apply(ev);
+      return;
+    }
     queues_[ev.task].push_back(ev);
+    ++queued_;
   }
 
   /// Replays one event if the DFS order admits one; false means blocked
@@ -96,10 +140,12 @@ class dfs_replayer {
       if (it == queues_.end() || it->second.empty()) return false;
       const pipe_event ev = it->second.front();
       it->second.pop_front();
+      --queued_;
       FUTRACE_DCHECK(ev.op == pipe_op::program_start);
       const task_id root = next_task_++;
       task_stack_.push_back({root, root, k_no_frame, false, put_counter_});
-      serial_initial_.emplace(ev.task, root);
+      record_initial(ev.task, root);
+      ++segment_;
       det_->on_program_start(root);
       source_stack_.push_back(ev.task);
       started_ = true;
@@ -110,6 +156,7 @@ class dfs_replayer {
     if (it == queues_.end() || it->second.empty()) return false;
     const pipe_event ev = it->second.front();
     it->second.pop_front();
+    --queued_;
     apply(ev);
     return true;
   }
@@ -157,9 +204,25 @@ class dfs_replayer {
 
   std::uint64_t infeasible_gets() const noexcept { return infeasible_gets_; }
   std::uint64_t dropped() const noexcept { return dropped_; }
+  /// tags()[i] is the replay position of det->reports()[i].
+  const std::vector<report_tag>& tags() const noexcept { return tags_; }
 
  private:
+  void record_initial(task_id pid, task_id serial) {
+    if (pid >= serial_initial_.size()) {
+      serial_initial_.resize(pid + 1, k_invalid_task);
+    }
+    serial_initial_[pid] = serial;
+  }
+
+  void tag_reports(const pipe_event& ev) {
+    const std::size_t n = det_->reports().size();
+    while (tags_.size() < n) tags_.push_back({segment_, ev.seq, ev.sub});
+  }
+
   void apply(const pipe_event& ev) {
+    // A structure event closes the current report segment.
+    if (!is_access(ev.op)) ++segment_;
     switch (ev.op) {
       case pipe_op::spawn: {
         // Serial spawn_begin: the child gets the next dense id and runs to
@@ -171,7 +234,7 @@ class dfs_replayer {
         finish_stack_.back().joined.push_back(child);
         det_->on_task_spawn(parent, child, static_cast<task_kind>(ev.b));
         task_stack_.push_back({child, child, ief, false, put_counter_});
-        serial_initial_.emplace(static_cast<task_id>(ev.a), child);
+        record_initial(static_cast<task_id>(ev.a), child);
         source_stack_.push_back(static_cast<task_id>(ev.a));
         break;
       }
@@ -184,8 +247,8 @@ class dfs_replayer {
         det_->on_task_end(frame.id);
         if (task_stack_.back().puts_seen != put_counter_) split_current();
         source_stack_.pop_back();
-        FUTRACE_DCHECK(queues_[ev.task].empty());
-        queues_.erase(ev.task);  // a pid's stream ends with its task_end
+        // A pid's stream ends with its task_end: drop its (empty) queue.
+        if (!queues_.empty()) queues_.erase(ev.task);
         break;
       }
       case pipe_op::finish_begin: {
@@ -212,9 +275,8 @@ class dfs_replayer {
         if (ev.b != 0) {
           const auto it = put_identity_.find(ev.b);
           if (it != put_identity_.end()) target = it->second;
-        } else {
-          const auto it = serial_initial_.find(static_cast<task_id>(ev.a));
-          if (it != serial_initial_.end()) target = it->second;
+        } else if (ev.a < serial_initial_.size()) {
+          target = serial_initial_[ev.a];
         }
         if (target == k_invalid_task) {
           // The producer has no serial position yet: the parallel schedule
@@ -241,12 +303,14 @@ class dfs_replayer {
                                 reinterpret_cast<const void*>(ev.a),
                                 reinterpret_cast<const void*>(ev.stride),
                                 access_site{ev.file, ev.line});
+        tag_reports(ev);
         break;
       case pipe_op::write:
         det_->on_canonical_write(task_stack_.back().id,
                                  reinterpret_cast<const void*>(ev.a),
                                  reinterpret_cast<const void*>(ev.stride),
                                  access_site{ev.file, ev.line});
+        tag_reports(ev);
         break;
       case pipe_op::read_range:
         det_->on_read_range(task_stack_.back().id,
@@ -254,6 +318,7 @@ class dfs_replayer {
                             static_cast<std::size_t>(ev.b),
                             static_cast<std::size_t>(ev.stride),
                             access_site{ev.file, ev.line});
+        tag_reports(ev);
         break;
       case pipe_op::write_range:
         det_->on_write_range(task_stack_.back().id,
@@ -261,6 +326,7 @@ class dfs_replayer {
                              static_cast<std::size_t>(ev.b),
                              static_cast<std::size_t>(ev.stride),
                              access_site{ev.file, ev.line});
+        tag_reports(ev);
         break;
       case pipe_op::region_retire:
         det_->on_region_retire(task_stack_.back().id,
@@ -297,13 +363,15 @@ class dfs_replayer {
 
   race_detector* det_;
   std::unordered_map<task_id, std::deque<pipe_event>> queues_;
+  std::size_t queued_ = 0;  // events held in queues_, all pids together
   std::vector<replay_frame> task_stack_;
   std::vector<replay_finish> finish_stack_;
   /// The DFS descent through the *parallel* id space: source_stack_.back()
   /// names the pid whose queue feeds the replay right now.
   std::vector<task_id> source_stack_;
-  /// pid -> dense id at its spawn (the id a future's state would carry).
-  std::unordered_map<task_id, task_id> serial_initial_;
+  /// pid -> dense id at its spawn (the id a future's state would carry);
+  /// pids are dense spawn-order ids, k_invalid_task marks an unseen pid.
+  std::vector<task_id> serial_initial_;
   /// put ordinal -> dense pre-split fulfiller id (the id a promise's state
   /// would carry).
   std::unordered_map<std::uint64_t, task_id> put_identity_;
@@ -311,6 +379,8 @@ class dfs_replayer {
   std::uint64_t put_counter_ = 0;
   std::uint64_t infeasible_gets_ = 0;
   std::uint64_t dropped_ = 0;
+  std::uint64_t segment_ = 0;  // structure events replayed so far
+  std::vector<report_tag> tags_;
   bool started_ = false;
   bool ended_ = false;
 };
@@ -393,7 +463,6 @@ struct parallel_detector::impl {
   std::vector<const void*> merged_racy;
   std::vector<std::uint64_t> merged_suppression;
   bool merged_degraded = false;
-  std::size_t merged_memory = 0;
 
   // -- emission (engine worker threads) ---------------------------------------
 
@@ -819,32 +888,48 @@ struct parallel_detector::impl {
                               static_cast<double>(c.shared_mem_accesses);
 
     merged_racy.clear();
-    merged_memory = 0;
     for (auto& cp : checkers) {
       const std::vector<const void*> r = cp->det->racy_locations();
       merged_racy.insert(merged_racy.end(), r.begin(), r.end());
-      merged_memory += cp->det->memory_bytes();
     }
     std::sort(merged_racy.begin(), merged_racy.end());
     merged_racy.erase(std::unique(merged_racy.begin(), merged_racy.end()),
                       merged_racy.end());
     c.racy_locations = merged_racy.size();
 
-    // Report merge: no global serial event number exists across shards (the
-    // wire's seq is a per-producer ordinal), so reports merge by canonical
-    // identity instead — the same order the multi-worker renderers print.
-    // Each address is owned by exactly one shard, so there are no
-    // cross-shard duplicates to fold.
-    merged_reports.clear();
+    // Report merge by replay position (report_tag), then checker-local
+    // index: the serial inline report order. One access event's reports
+    // come from the single shard owning its address, so the key is unique.
+    // Each replica caps at max_reports, which suffices: a report among the
+    // global first N has fewer than N predecessors in its own shard too.
+    struct entry {
+      report_tag tag;
+      std::size_t idx;
+      const race_report* report;
+    };
+    std::vector<entry> all;
     for (auto& cp : checkers) {
       const std::vector<race_report>& reps = cp->det->reports();
-      merged_reports.insert(merged_reports.end(), reps.begin(), reps.end());
+      const std::vector<report_tag>& tags = cp->rp->tags();
+      FUTRACE_DCHECK(tags.size() == reps.size());
+      for (std::size_t i = 0; i < reps.size(); ++i) {
+        all.push_back(entry{tags[i], i, &reps[i]});
+      }
     }
-    sort_reports_canonical(merged_reports);
-    if (merged_reports.size() > opts.max_reports) {
-      c.reports_capped += merged_reports.size() - opts.max_reports;
-      merged_reports.resize(opts.max_reports);
+    std::sort(all.begin(), all.end(), [](const entry& x, const entry& y) {
+      if (x.tag < y.tag) return true;
+      if (y.tag < x.tag) return false;
+      return x.idx < y.idx;
+    });
+    const std::size_t keep = std::min(all.size(), opts.max_reports);
+    merged_reports.clear();
+    merged_reports.reserve(keep);
+    for (std::size_t i = 0; i < keep; ++i) {
+      merged_reports.push_back(*all[i].report);
     }
+    // Distinct pairs not shown globally: what the replicas never
+    // materialized, plus materialized reports the global cap cut here.
+    c.reports_capped += all.size() - keep;
 
     merged_suppression.clear();
     for (auto& cp : checkers) {
@@ -1091,7 +1176,11 @@ detector_counters parallel_detector::counters() const {
 
 std::size_t parallel_detector::memory_bytes() const {
   impl_->finalize();
-  return impl_->merged_memory;
+  // Walks every replica's shadow tiers: computed on request, never inside
+  // the finalize a verdict query pays for.
+  std::size_t total = 0;
+  for (const auto& cp : impl_->checkers) total += cp->det->memory_bytes();
+  return total;
 }
 
 std::size_t parallel_detector::structure_bytes() const {

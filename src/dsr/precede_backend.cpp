@@ -83,13 +83,14 @@ class depa_backend final : public precede_backend {
 
   backend_kind kind() const noexcept override { return backend_kind::depa; }
 
-  void on_root_created(task_id root) override {
+  void on_root_created([[maybe_unused]] task_id root) override {
     FUTRACE_DCHECK(graph_.id_map().to_index(root) == 0);
     labels_.add_root();
     dsu_push();
   }
 
-  void on_task_created(task_id parent, task_id child, bool) override {
+  void on_task_created(task_id parent, [[maybe_unused]] task_id child,
+                       bool) override {
     const epoch_id_map& m = graph_.id_map();
     FUTRACE_DCHECK(m.to_index(child) == labels_.size());
     labels_.add_child(m.to_index(parent));
@@ -236,13 +237,13 @@ class vc_backend final : public precede_backend {
     return backend_kind::vector_clock;
   }
 
-  void on_root_created(task_id root) override {
+  void on_root_created([[maybe_unused]] task_id root) override {
     FUTRACE_DCHECK(graph_.id_map().to_index(root) == 0);
     clocks_.emplace_back();
     taint_.push_back(0);
   }
 
-  void on_task_created(task_id parent, task_id child,
+  void on_task_created(task_id parent, [[maybe_unused]] task_id child,
                        bool continuation) override {
     const epoch_id_map& m = graph_.id_map();
     FUTRACE_DCHECK(m.to_index(child) == clocks_.size());

@@ -184,13 +184,6 @@ void add_detector_source(metrics_registry& reg,
   });
 }
 
-void add_pipeline_source(metrics_registry& reg,
-                         std::function<detect::pipeline_stats()> get) {
-  reg.add_source("pipeline", [get = std::move(get)](metrics_snapshot& snap) {
-    fill_from_json(snap, "pipe", pipe_json(get()));
-  });
-}
-
 void add_shadow_source(metrics_registry& reg,
                        std::function<detect::shadow_stats()> get) {
   reg.add_source("shadow", [get = std::move(get)](metrics_snapshot& snap) {

@@ -2,7 +2,7 @@
 // parallel_detect + detect::parallel_detector): the program executes for
 // real on the work-stealing engine while shard checkers detect races
 // concurrently, and every observable outcome — verdict, race count,
-// canonically-sorted reports, paper counters — must be identical to the
+// reports (in inline order), paper counters — must be identical to the
 // serial inline run of the *same* program. Programs come from
 // progen::program_trace, whose statement trees are frozen at construction
 // so serial and parallel runs execute the same program by construction.
@@ -68,9 +68,10 @@ int var_index_of(const void* addr, const progen::program_trace& prog) {
   return -1;
 }
 
-std::vector<report_sig> signatures(std::vector<detect::race_report> reports,
-                                   const progen::program_trace& prog) {
-  detect::sort_reports_canonical(reports);
+/// In list order: parallel-detect reproduces the inline report order.
+std::vector<report_sig> signatures(
+    const std::vector<detect::race_report>& reports,
+    const progen::program_trace& prog) {
   std::vector<report_sig> sigs;
   sigs.reserve(reports.size());
   for (const detect::race_report& r : reports) {
@@ -337,9 +338,8 @@ TEST(ParDetectDiff, RingAllocationRefusedBuffersEverything) {
   EXPECT_GT(det.pipe_stats().inline_fallbacks, 0u);
 }
 
-/// Satellite 1 regression: repeated steal-perturbed parallel runs must
-/// render byte-identical report listings (canonical order, not detection
-/// order).
+/// Repeated steal-perturbed parallel runs must render byte-identical report
+/// listings (replay order, not arrival order).
 TEST(ParDetectDiff, ReportRenderingDeterministicUnderStealHeavySchedules) {
   progen::program_trace prog(racy_config(97));
   ASSERT_TRUE(run_serial(prog, dsr::backend_kind::graph).detected);
@@ -367,6 +367,54 @@ TEST(ParDetectDiff, ReportRenderingDeterministicUnderStealHeavySchedules) {
       EXPECT_EQ(rendering, first_rendering) << "run=" << run;
     }
   }
+}
+
+/// reports() is the serial inline detector's list, in order, also under a
+/// max_reports cap: reports merge by replay position across shards, not by
+/// canonical identity. The writes run from high to low addresses, so the
+/// inline order is not the canonical one.
+TEST(ParDetectDiff, ReportsMatchInlineOrderUnderCap) {
+  shared_array<int> data(64);
+  const auto body = [&data] {
+    finish([&data] {
+      async([&data] {
+        for (std::size_t i = data.size(); i-- > 0;) data.write(i, 1);
+      });
+      for (std::size_t i = data.size(); i-- > 0;) data.write(i, 2);
+    });
+  };
+  race_detector::options opts = base_opts(dsr::backend_kind::graph);
+  opts.max_reports = 5;
+  race_detector serial_det(opts);
+  {
+    runtime rt({.mode = exec_mode::serial_dfs});
+    rt.add_observer(&serial_det);
+    rt.run(body);
+  }
+  const std::vector<detect::race_report>& ref = serial_det.reports();
+  ASSERT_EQ(ref.size(), 5u);
+  std::vector<detect::race_report> sorted = ref;
+  detect::sort_reports_canonical(sorted);
+  ASSERT_NE(sorted.front().location, ref.front().location);
+
+  parallel_detector::tuning tune;
+  tune.checkers = 4;
+  tune.chunk_shift = 6;  // 16 ints per chunk: the cells span every shard
+  parallel_detector det(opts, tune);
+  runtime rt({.mode = exec_mode::parallel_detect, .workers = 2});
+  rt.add_parallel_sink(&det);
+  rt.run(body);
+  ASSERT_EQ(det.reports().size(), ref.size());
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    const detect::race_report& a = det.reports()[i];
+    EXPECT_EQ(a.location, ref[i].location) << "report " << i;
+    EXPECT_EQ(a.kind, ref[i].kind) << "report " << i;
+    EXPECT_EQ(a.first_task, ref[i].first_task) << "report " << i;
+    EXPECT_EQ(a.second_task, ref[i].second_task) << "report " << i;
+    EXPECT_EQ(a.occurrences, ref[i].occurrences) << "report " << i;
+  }
+  EXPECT_EQ(det.counters().reports_capped,
+            serial_det.counters().reports_capped);
 }
 
 // ----------------------------------------------- ParallelDetectSafe suite

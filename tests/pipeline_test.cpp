@@ -1,23 +1,26 @@
 // Differential tests for the pipelined, address-sharded detection engine
-// (detect::pipelined_detector): with detect_threads in {0, 1, 4} the same
-// program must produce identical verdicts, identical report sequences, and
-// identical paper-level counters — pipelining is a scheduling change, never
-// a semantic one. Plus the pipeline's own mechanics: ring wraparound,
-// oversize finish fan-in, backpressure under a tiny ring, inline fallback
-// when the ring allocation is refused, and fault-injected worker
-// stalls/kills degrading to inline checking instead of deadlocking or
-// dropping events.
+// (detect::pipelined_detector, parallel-detect fed by the serial engine):
+// with detect_threads in {0, 1, 4} the same program must produce identical
+// verdicts, identical report sequences, and identical paper-level counters
+// — pipelining is a scheduling change, never a semantic one. Plus the
+// transport's mechanics under one producer: ring wraparound, finish fan-in
+// wider than the ring, backpressure under a tiny ring, spill mode when the
+// ring allocation is refused, and fault-injected checker stalls/kills
+// degrading to a replay at finalize instead of deadlocking or dropping
+// events.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "futrace/detect/pipeline.hpp"
 #include "futrace/detect/race_detector.hpp"
 #include "futrace/inject/fault_injector.hpp"
+#include "futrace/runtime/promise.hpp"
 #include "futrace/progen/random_program.hpp"
 #include "futrace/runtime/runtime.hpp"
 #include "futrace/runtime/shared.hpp"
@@ -189,6 +192,83 @@ TEST(Pipeline, FutureAndPromiseEdgesOrderAccesses) {
   });
 }
 
+// Promise edges ride the put ordinal: two puts from one task (the second
+// fulfilled by a continuation identity), a future whose first step is a
+// put, and a put inside a child that splits the resuming parent.
+TEST(Pipeline, PromiseGetsReplayToFulfillerIdentity) {
+  shared_array<long> cells(8);
+  differential([&] {
+    promise<int> first;
+    promise<int> second;
+    promise<int> early;
+    finish([&] {
+      async([&] {
+        cells.write(0, 1);
+        first.put(1);
+        cells.write(1, 1);
+        second.put(2);
+        cells.write(2, 1);  // after both puts: races with the getters
+      });
+      auto f = async_future([&] {
+        early.put(3);
+        cells.write(3, 1);
+        return 3;
+      });
+      async([&] {
+        (void)first.get();
+        cells.write(0, 2);  // ordered after the first put
+        (void)cells.read(1);  // racy: written after first.put
+        (void)second.get();
+        cells.write(1, 2);  // ordered after the second put
+        (void)cells.read(2);  // racy
+        (void)early.get();
+        (void)f.get();
+        cells.write(3, 2);  // ordered through the future
+      });
+      cells.write(4, 1);  // root after children that put: split identity
+    });
+    (void)cells.read(4);
+  });
+}
+
+// A program error: scopes close their tasks and finishes while the
+// exception propagates, the engine's unwind closes the root chain (split
+// by a put), and the replay closes it at EOF to the same stream.
+TEST(Pipeline, ProgramErrorAgreesWithInline) {
+  shared_array<int> cells(4);
+  auto body = [&] {
+    promise<int> p;
+    p.put(1);  // the root continues as a continuation
+    finish([&] {
+      async([&] {
+        cells.write(0, 1);
+        (void)p.get();
+      });
+      async([&] {
+        cells.write(0, 2);  // races with the first async
+        throw std::runtime_error("program error");
+      });
+    });
+  };
+  auto run_failing = [&](unsigned threads) {
+    pipelined_detector det(opts_with_threads(threads));
+    runtime rt({.mode = exec_mode::serial_dfs});
+    rt.add_observer(&det);
+    EXPECT_THROW(rt.run(body), std::runtime_error);
+    return det;
+  };
+  const pipelined_detector ref = run_failing(0);
+  ASSERT_TRUE(ref.race_detected());
+  for (const unsigned threads : {1u, 4u}) {
+    const pipelined_detector det = run_failing(threads);
+    const std::string label = "W=" + std::to_string(threads);
+    EXPECT_EQ(det.race_count(), ref.race_count()) << label;
+    EXPECT_EQ(signatures(det.reports()), signatures(ref.reports())) << label;
+    expect_paper_counters_equal(det.counters(), ref.counters(),
+                                label.c_str());
+  }
+}
+
 // Range accesses that straddle many chunk boundaries: with chunk_shift 6
 // (64-byte chunks) a 1 KiB array spans 16 chunks, so every whole-array
 // range event splits into per-owner sub-events on all four workers.
@@ -258,30 +338,77 @@ TEST(Pipeline, ProgenSeedSweepAgreesWithInline) {
   }
 }
 
+// Inline report order survives sharding and the max_reports cap: every
+// shard tags its reports with their replay position, and the merge keeps
+// the first N in serial order. The writes run from high to low addresses,
+// so the inline order is not the canonical (address-sorted) one.
+TEST(Pipeline, ReportsMatchInlineOrderUnderCap) {
+  shared_array<int> data(64);
+  auto body = [&] {
+    finish([&] {
+      async([&] {
+        for (std::size_t i = data.size(); i-- > 0;) data.write(i, 1);
+      });
+      for (std::size_t i = data.size(); i-- > 0;) data.write(i, 2);
+    });
+  };
+  race_detector::options opts = opts_with_threads(0);
+  opts.max_reports = 5;
+  const pipelined_detector ref = run_pipelined(opts, body);
+  ASSERT_EQ(ref.reports().size(), 5u);
+  std::vector<detect::race_report> sorted = ref.reports();
+  detect::sort_reports_canonical(sorted);
+  ASSERT_NE(sorted.front().location, ref.reports().front().location);
+
+  pipelined_detector::tuning tune;
+  tune.chunk_shift = 6;  // 16 ints per chunk: the cells span every shard
+  for (const unsigned threads : {1u, 4u}) {
+    opts.detect_threads = threads;
+    const pipelined_detector det = run_pipelined(opts, body, tune);
+    const std::string label = "W=" + std::to_string(threads);
+    ASSERT_EQ(det.reports().size(), ref.reports().size()) << label;
+    for (std::size_t i = 0; i < ref.reports().size(); ++i) {
+      EXPECT_EQ(det.reports()[i].location, ref.reports()[i].location)
+          << label << " report " << i;
+    }
+    EXPECT_EQ(signatures(det.reports()), signatures(ref.reports())) << label;
+    EXPECT_EQ(det.counters().reports_capped, ref.counters().reports_capped)
+        << label;
+  }
+}
+
 // ----------------------------------------------------------- ring mechanics
 
-// A 4-slot ring forces constant wraparound and producer backpressure; the
-// oversize finish (100 children = 1 header + 7 continuation slots > 4)
-// exercises the incremental streaming path.
-TEST(Pipeline, TinyRingWrapsAndStreamsOversizeFinish) {
-  shared_array<int> data(128);
+// A finish wider than the ring: 100 children joined by a 4-slot ring force
+// constant wraparound and producer backpressure. Every event is one slot,
+// so a wide fan-in needs no special streaming path.
+pipelined_detector::tuning tiny_ring() {
   pipelined_detector::tuning tune;
   tune.ring_capacity = 4;
-  const pipelined_detector det = differential(
-      [&] {
-        finish([&] {
-          for (int t = 0; t < 100; ++t) {
-            async([&, t] {
-              data.write(static_cast<std::size_t>(t) % data.size(), t);
-            });
-          }
+  return tune;
+}
+
+auto wide_finish_body(shared_array<int>& data) {
+  return [&data] {
+    finish([&data] {
+      for (int t = 0; t < 100; ++t) {
+        async([&data, t] {
+          data.write(static_cast<std::size_t>(t) % data.size(), t);
         });
-        for (std::size_t i = 0; i < data.size(); ++i) (void)data.read(i);
-      },
-      tune);
+      }
+    });
+    for (std::size_t i = 0; i < data.size(); ++i) (void)data.read(i);
+  };
+}
+
+TEST(Pipeline, TinyRingWideFinishAgrees) {
+  shared_array<int> data(64);
+  const pipelined_detector det =
+      differential(wide_finish_body(data), tiny_ring());
   EXPECT_EQ(det.pipe_stats().ring_capacity, 4u);
   EXPECT_GT(det.pipe_stats().backpressure_waits, 0u);
   EXPECT_EQ(det.pipe_stats().workers_died, 0u);
+  EXPECT_EQ(det.pipe_stats().inline_fallbacks, 0u);
 }
 
 TEST(Pipeline, FailFastForcesInlineMode) {
@@ -301,6 +428,9 @@ TEST(Pipeline, FailFastForcesInlineMode) {
                detect::race_found_error);
 }
 
+// A refused ring allocation leaves the detector pipelined but without
+// rings or checker threads: every event spills producer-side and the whole
+// replay runs inline at finalize.
 TEST(Pipeline, RefusedRingAllocationFallsBackInline) {
   inject::fault_plan plan;
   plan.fail_alloc_at = 1;
@@ -311,8 +441,7 @@ TEST(Pipeline, RefusedRingAllocationFallsBackInline) {
   {
     inject::scoped_injector guard(inj);
     pipelined_detector det(opts_with_threads(4));
-    EXPECT_FALSE(det.pipelined());
-    EXPECT_GE(det.pipe_stats().inline_fallbacks, 1u);
+    EXPECT_TRUE(det.pipelined());
     runtime rt({.mode = exec_mode::serial_dfs});
     rt.add_observer(&det);
     rt.run([&] {
@@ -322,6 +451,9 @@ TEST(Pipeline, RefusedRingAllocationFallsBackInline) {
       });
     });
     races = det.race_count();
+    EXPECT_EQ(det.pipe_stats().ring_capacity, 0u);
+    EXPECT_GE(det.pipe_stats().inline_fallbacks, 1u);
+    EXPECT_EQ(det.pipe_stats().workers_died, 0u);
   }
   // Under a deny-all gate the inline detector still runs (possibly
   // degraded); the same program without the gate must agree or exceed.
@@ -388,13 +520,12 @@ TEST(PipelineFaults, KilledWorkerDegradesToInlineChecking) {
 }
 
 TEST(PipelineFaults, KilledWorkerCountersMergeExactly) {
-  // The death drain applies every complete ring event into the dead
-  // worker's own detector and discards only the partial tail (which the
-  // producer re-sends inline to that same detector, in order). Each event
-  // is therefore applied exactly once to exactly the detector its shard
-  // owns — so a killed run must match a clean run at the same width on
-  // EVERY counter, engine-tier diagnostics included, not just the paper
-  // surface.
+  // After a kill the producer spills the dead shard's events, and finalize
+  // replays the ring leftovers, then the spill, into that shard's own
+  // detector. Each event is therefore applied exactly once, in order, to
+  // exactly the detector its shard owns — so a killed run must match a
+  // clean run at the same width on EVERY counter, engine-tier diagnostics
+  // included, not just the paper surface.
   shared_array<int> data(256);
   shared<int> cell;
   auto body = [&] {
@@ -467,39 +598,31 @@ TEST(PipelineFaults, ForcedRingFullInjectsBackpressure) {
   EXPECT_EQ(det.race_count(), ref.race_count());
 }
 
-TEST(PipelineFaults, KillDuringOversizeFinishStreamIsSafe) {
-  // Oversize finish (wider than the whole ring) with a kill armed nearby:
-  // the consume path skips fault hooks mid-stream, so the kill lands on a
-  // neighbouring event boundary and the drain still sees whole events.
+TEST(PipelineFaults, KillDuringWideFinishReplaysExactly) {
+  // The wide-finish tiny-ring run with a checker killed before, inside and
+  // after the fan-in: the producer is blocked on the full ring when the
+  // kill lands, must notice the death, spill, and leave the rest to the
+  // finalize replay.
   shared_array<int> data(64);
-  auto body = [&] {
-    finish([&] {
-      for (int t = 0; t < 80; ++t) {
-        async([&, t] { data.write(static_cast<std::size_t>(t) % 64, t); });
-      }
-    });
-    for (std::size_t i = 0; i < data.size(); ++i) (void)data.read(i);
-  };
+  const auto body = wide_finish_body(data);
   const pipelined_detector ref = run_pipelined(opts_with_threads(0), body);
   for (const std::uint64_t kill_at : {1u, 40u, 90u, 200u}) {
     inject::fault_plan plan;
     plan.pipe_kill_at = kill_at;
-    inject::fault_injector::counters fired;
-    pipelined_detector::tuning tune;
-    tune.ring_capacity = 4;  // forces the oversize streaming path
     inject::fault_injector inj(plan);
-    inject::scoped_injector guard(inj);
-    pipelined_detector det(opts_with_threads(4), tune);
-    runtime rt({.mode = exec_mode::serial_dfs});
-    rt.add_observer(&det);
-    rt.run(body);
-    fired = inj.snapshot();
-    EXPECT_EQ(det.race_count(), ref.race_count()) << "kill@" << kill_at;
-    EXPECT_EQ(det.racy_locations(), ref.racy_locations())
-        << "kill@" << kill_at;
-    if (fired.pipe_kills > 0) {
-      EXPECT_EQ(det.pipe_stats().workers_died, 1u) << "kill@" << kill_at;
-    }
+    const std::string label = "kill@" + std::to_string(kill_at);
+    const pipelined_detector det = [&] {
+      inject::scoped_injector guard(inj);
+      return run_pipelined(opts_with_threads(4), body, tiny_ring());
+    }();
+    ASSERT_EQ(inj.snapshot().pipe_kills, 1u) << label;
+    EXPECT_EQ(det.race_count(), ref.race_count()) << label;
+    EXPECT_EQ(det.racy_locations(), ref.racy_locations()) << label;
+    EXPECT_EQ(signatures(det.reports()), signatures(ref.reports())) << label;
+    expect_paper_counters_equal(det.counters(), ref.counters(),
+                                label.c_str());
+    EXPECT_EQ(det.pipe_stats().workers_died, 1u) << label;
+    EXPECT_GT(det.pipe_stats().inline_fallbacks, 0u) << label;
   }
 }
 

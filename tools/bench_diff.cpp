@@ -8,6 +8,7 @@
 //   * time-like keys (contain "ms", "time", "cpu", "real", "slowdown",
 //     "per_second") are machine-dependent and therefore ADVISORY by
 //     default — printed, never gated — unless --strict-time is given.
+//     HIGHER is worse, except for "speedup" keys, where LOWER is worse.
 //   * rate/hit keys ("*_rate", "*_hits") measure fast-path effectiveness:
 //     LOWER is worse; gated.
 //   * booleans ("verified", "fastpath") must not flip true -> false; gated.
@@ -40,6 +41,7 @@ using futrace::support::json;
 enum class key_class {
   ignored,
   advisory_time,     // machine-dependent; gated only under --strict-time
+  advisory_speedup,  // advisory_time, but higher is better
   advisory_load,     // scheduling-dependent fill levels; never gated
   advisory_backend,  // PRECEDE-backend label/frontier profile; never gated
   rate,
@@ -97,8 +99,6 @@ key_class classify(const std::string& raw_key) {
       contains(key, "takeover")) {
     return key_class::advisory_load;
   }
-  // Speedup-vs-serial is wall-clock and worker-count dependent: advisory
-  // like the other time keys (gated only under --strict-time).
   // PRECEDE-backend comparison counters (label bytes/comparisons, frontier
   // searches): these are the quantity being *compared across backends*, so a
   // baseline recorded under one backend must not gate a run under another —
@@ -106,9 +106,13 @@ key_class classify(const std::string& raw_key) {
   if (contains(key, "label") || contains(key, "frontier")) {
     return key_class::advisory_backend;
   }
+  // Speedup-vs-serial is wall-clock and worker-count dependent: advisory
+  // like the other time keys (gated only under --strict-time), but a drop
+  // is the regression.
+  if (contains(key, "speedup")) return key_class::advisory_speedup;
   if (contains(key, "ms") || contains(key, "time") || contains(key, "cpu") ||
       contains(key, "real") || contains(key, "slowdown") ||
-      contains(key, "speedup") || contains(key, "per_second")) {
+      contains(key, "per_second")) {
     return key_class::advisory_time;
   }
   if (contains(key, "rate") || contains(key, "hits")) return key_class::rate;
@@ -215,6 +219,10 @@ void diff_value(const std::string& path, const std::string& leaf_key,
       regressed = delta_pct > cfg.max_regress_pct;  // slower = worse
       gated = cfg.strict_time;
       break;
+    case key_class::advisory_speedup:
+      regressed = delta_pct < -cfg.max_regress_pct;  // less speedup = worse
+      gated = cfg.strict_time;
+      break;
     case key_class::advisory_load:
       // Either direction is worth a look (a drained ring can mean the
       // producer slowed down just as much as a full one can mean the
@@ -268,7 +276,10 @@ int report(const std::vector<finding>& findings,
     const char* tag = f.gated ? "REGRESSION" : "advisory";
     const char* why = "";
     switch (f.cls) {
-      case key_class::advisory_time: why = "slower"; break;
+      case key_class::advisory_time:
+      case key_class::advisory_speedup:
+        why = "slower";
+        break;
       case key_class::advisory_load: why = "load shifted"; break;
       case key_class::advisory_backend:
         why = "backend label profile shifted";
@@ -398,6 +409,12 @@ int self_test() {
          "--strict-time gates time keys");
   expect(run(R"({"occupancy_pct": 12.0})", R"({"occupancy_pct": 80.0})") == 0,
          "--strict-time still does not gate occupancy");
+  expect(run(R"({"speedup_vs_serial": 3.0})",
+             R"({"speedup_vs_serial": 0.5})") == 1,
+         "--strict-time gates a speedup drop");
+  expect(run(R"({"speedup_vs_serial": 0.5})",
+             R"({"speedup_vs_serial": 3.0})") == 0,
+         "--strict-time passes a speedup gain");
   cfg.strict_time = false;
 
   // Missing keys warn instead of failing — unless they are paper counters.
