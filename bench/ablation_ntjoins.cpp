@@ -134,7 +134,7 @@ int main(int argc, char** argv) {
       .define("no-fastpath", "false",
               "disable the direct/memo/stamp fast paths")
       .define("precede-backend", "graph",
-              "PRECEDE backend: graph, depa, vc, or all (one sweep per "
+              "PRECEDE backend: graph, depa, or all (one sweep per "
               "backend; every JSON row carries its backend)")
       .define("trace", "",
               "write a Chrome trace-event JSON of each detected run to this "
@@ -149,13 +149,12 @@ int main(int argc, char** argv) {
   const std::string backend_flag = flags.get_string("precede-backend");
   std::vector<dsr::backend_kind> backends;
   if (backend_flag == "all") {
-    backends = {dsr::backend_kind::graph, dsr::backend_kind::depa,
-                dsr::backend_kind::vector_clock};
+    backends = {dsr::backend_kind::graph, dsr::backend_kind::depa};
   } else {
     dsr::backend_kind kind;
     if (!dsr::parse_backend_kind(backend_flag, &kind)) {
       std::fprintf(stderr,
-                   "unknown --precede-backend '%s' (graph, depa, vc, all)\n",
+                   "unknown --precede-backend '%s' (graph, depa, all)\n",
                    backend_flag.c_str());
       return 2;
     }

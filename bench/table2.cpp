@@ -271,7 +271,7 @@ int main(int argc, char** argv) {
               "engine workers for --exec=parallel-detect")
       .define("precede-backend", "graph",
               "PRECEDE backend: graph (paper search), depa (fork-path "
-              "labels), vc (vector clocks)")
+              "labels)")
       .define("trace", "",
               "write a Chrome trace-event JSON (Perfetto-loadable) of each "
               "row's final timed repetition to this path; rows overwrite, "
@@ -313,7 +313,7 @@ int main(int argc, char** argv) {
   }
   if (!futrace::dsr::parse_backend_kind(flags.get_string("precede-backend"),
                                         &cfg.backend)) {
-    std::fprintf(stderr, "unknown --precede-backend '%s' (graph, depa, vc)\n",
+    std::fprintf(stderr, "unknown --precede-backend '%s' (graph, depa)\n",
                  flags.get_string("precede-backend").c_str());
     return 2;
   }

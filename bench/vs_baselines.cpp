@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
       .define("no-fastpath", "false",
               "disable the direct/memo/stamp fast paths")
       .define("precede-backend", "graph",
-              "PRECEDE backend for 'ours' rows: graph, depa, vc")
+              "PRECEDE backend for 'ours' rows: graph, depa")
       .define("trace", "",
               "write a Chrome trace-event JSON of the final repetition of "
               "each part-2 'ours' run to this path (rows overwrite)");
@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
   det_opts.enable_fastpath = !flags.get_bool("no-fastpath");
   if (!futrace::dsr::parse_backend_kind(flags.get_string("precede-backend"),
                                         &det_opts.precede_backend)) {
-    std::fprintf(stderr, "unknown --precede-backend '%s' (graph, depa, vc)\n",
+    std::fprintf(stderr, "unknown --precede-backend '%s' (graph, depa)\n",
                  flags.get_string("precede-backend").c_str());
     return 2;
   }

@@ -330,7 +330,7 @@ class race_detector final : public execution_observer {
   detector_counters counters() const;
 
   /// The graph's structural stats merged with the active backend's
-  /// query-layer counters (precede_queries, memo_hits, label_*). By value:
+  /// query-layer counters (precede_queries, label_*). By value:
   /// the merge composes two sources.
   dsr::reachability_stats reachability_stats() const {
     dsr::reachability_stats s = graph_.stats();
@@ -345,7 +345,7 @@ class race_detector final : public execution_observer {
   std::size_t memory_bytes() const;
 
   /// Footprint of the reachability structure alone (no shadow memory): the
-  /// O(a + f + n) term of Theorem 1 plus the active backend's label/clock
+  /// O(a + f + n) term of Theorem 1 plus the active backend's label
   /// storage, comparable against a vector-clock detector's clock storage.
   std::size_t structure_bytes() const {
     return graph_.memory_bytes() + backend_->memory_bytes();

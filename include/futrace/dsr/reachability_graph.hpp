@@ -52,12 +52,11 @@ struct reachability_stats {
   std::uint64_t tasks_retired = 0;       // vertices freed by compaction
 
   // -- PRECEDE-backend comparison counters (precede_backend.hpp) -------------
-  // Kept semantically comparable across the graph/depa/vc backends so one
+  // Kept semantically comparable across the graph/depa backends so one
   // ablation artifact can rank them: bytes of ordering labels held, label
-  // comparisons performed (interval subsumptions / path-prefix tests / clock
-  // bit tests), the longest single label in bytes, and how many queries fell
-  // through to a bounded frontier search (always 0 for vc, which never
-  // searches).
+  // comparisons performed (interval subsumptions / path-prefix tests), the
+  // longest single label in bytes, and how many queries fell through to a
+  // bounded frontier search.
   std::uint64_t label_bytes = 0;
   std::uint64_t label_comparisons = 0;
   std::uint64_t max_label_len = 0;

@@ -134,7 +134,6 @@ race_detector::race_detector(options opts) : opts_(opts) {
   shadow_.set_max_bytes(opts_.max_shadow_bytes);
   graph_.set_memo_enabled(opts_.enable_fastpath);
   backend_ = dsr::make_precede_backend(opts_.precede_backend, graph_);
-  backend_->set_memo_enabled(opts_.enable_fastpath);
   shadow_.set_direct_mapped(opts_.enable_fastpath);
   stamp_enabled_ = opts_.enable_fastpath;
   range_enabled_ = opts_.enable_range_checks;
@@ -201,7 +200,7 @@ void race_detector::on_task_spawn(task_id parent, task_id child,
   // Algorithm 2: label assignment, set creation, LSA inheritance.
   const dsr::task_id id = graph_.create_task(parent);
   FUTRACE_CHECK_MSG(id == child, "detector and runtime task ids diverged");
-  backend_->on_task_created(parent, child, kind == task_kind::continuation);
+  backend_->on_task_created(parent, child);
 }
 
 void race_detector::on_promise_put(task_id fulfiller) {
@@ -221,7 +220,6 @@ void race_detector::on_task_end(task_id t) {
   if (graph_degraded_) return;
   // Algorithm 3: finalize the postorder value.
   graph_.on_terminate(t);
-  backend_->on_terminated(t);
 }
 
 void race_detector::on_finish_end(task_id owner,
@@ -254,8 +252,8 @@ void race_detector::on_get(task_id waiter, task_id target) {
   // Algorithm 4: tree join (merge) or non-tree join (predecessor edge).
   ++get_operations_;
   if (graph_degraded_) return;
-  const bool tree_join = graph_.on_get(waiter, target);
-  backend_->on_get_joined(waiter, target, tree_join);
+  graph_.on_get(waiter, target);
+  backend_->on_get_joined(waiter, target);
 }
 
 void race_detector::on_program_end() {

@@ -1,8 +1,6 @@
 #include "futrace/dsr/precede_backend.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <utility>
 
 #include "futrace/dsr/depa_labels.hpp"
 #include "futrace/dsr/labels.hpp"
@@ -19,18 +17,14 @@ bool parse_backend_kind(std::string_view name, backend_kind* out) noexcept {
     *out = backend_kind::depa;
     return true;
   }
-  if (name == "vc" || name == "vector_clock") {
-    *out = backend_kind::vector_clock;
-    return true;
-  }
   return false;
 }
 
 namespace {
 
 /// The default backend: every query is the paper's Algorithm 10 verbatim.
-/// No base memo (the graph keeps its own rep-keyed memo, whose
-/// invalidation-on-union behaviour the fastpath tests pin), no extra state.
+/// The graph keeps its own rep-keyed memo, whose invalidation-on-union
+/// behaviour the fastpath tests pin; no extra state.
 class graph_backend final : public precede_backend {
  public:
   using precede_backend::precede_backend;
@@ -77,9 +71,7 @@ class graph_backend final : public precede_backend {
 /// claim orderings the graph denies.
 class depa_backend final : public precede_backend {
  public:
-  explicit depa_backend(reachability_graph& graph) : precede_backend(graph) {
-    use_memo_ = true;
-  }
+  using precede_backend::precede_backend;
 
   backend_kind kind() const noexcept override { return backend_kind::depa; }
 
@@ -89,15 +81,15 @@ class depa_backend final : public precede_backend {
     dsu_push();
   }
 
-  void on_task_created(task_id parent, [[maybe_unused]] task_id child,
-                       bool) override {
+  void on_task_created(task_id parent,
+                       [[maybe_unused]] task_id child) override {
     const epoch_id_map& m = graph_.id_map();
     FUTRACE_DCHECK(m.to_index(child) == labels_.size());
     labels_.add_child(m.to_index(parent));
     dsu_push();
   }
 
-  void on_get_joined(task_id waiter, task_id target, bool) override {
+  void on_get_joined(task_id waiter, task_id target) override {
     join_target(waiter, target);
   }
 
@@ -130,7 +122,6 @@ class depa_backend final : public precede_backend {
     }
     anchor_ = dsu_parent_;
     prior_map_ = nm;
-    ++compactions_;
   }
 
   void merge_stats(reachability_stats& s) const override {
@@ -150,9 +141,6 @@ class depa_backend final : public precede_backend {
   }
 
  protected:
-  std::uint64_t memo_key(task_id a) override { return a; }
-  std::uint64_t mutation_stamp() const override { return compactions_; }
-
   bool query(task_id a, task_id b) override {
     const epoch_id_map& m = graph_.id_map();
     const task_id ai = m.to_index(a);
@@ -211,174 +199,6 @@ class depa_backend final : public precede_backend {
   std::vector<task_id> dsu_parent_;  // overlay union-find, by storage index
   std::vector<task_id> anchor_;      // component anchor, valid at roots
   epoch_id_map prior_map_;           // graph id map as of the last compaction
-  std::uint64_t compactions_ = 0;
-};
-
-/// The vector-clock baseline (vs_baselines) promoted to a backend: one
-/// happens-before bitset per task, bit positions = storage indices, merged
-/// at spawn/get/finish exactly like baselines::vector_clock_detector.
-///
-/// One caveat discovered when differential-testing against the graph:
-/// across a promise-put split the graph does not order the terminated
-/// pre-split identity (or its tree-joined set members) before the
-/// continuation until an explicit get edge appears, while naive clock
-/// inheritance would. Clocks that ever inherited across a continuation
-/// edge (directly or transitively through a merge) are therefore marked
-/// tainted and their positive bit tests are not trusted — those queries
-/// fall back to the graph. Promise-free executions never taint, so they
-/// keep the pure O(1) bit test.
-class vc_backend final : public precede_backend {
- public:
-  explicit vc_backend(reachability_graph& graph) : precede_backend(graph) {
-    use_memo_ = true;
-  }
-
-  backend_kind kind() const noexcept override {
-    return backend_kind::vector_clock;
-  }
-
-  void on_root_created([[maybe_unused]] task_id root) override {
-    FUTRACE_DCHECK(graph_.id_map().to_index(root) == 0);
-    clocks_.emplace_back();
-    taint_.push_back(0);
-  }
-
-  void on_task_created(task_id parent, [[maybe_unused]] task_id child,
-                       bool continuation) override {
-    const epoch_id_map& m = graph_.id_map();
-    FUTRACE_DCHECK(m.to_index(child) == clocks_.size());
-    const task_id pi = m.to_index(parent);
-    bits b = clocks_[pi];
-    std::uint8_t t = taint_[pi];
-    if (continuation) {
-      t = 1;  // ordering across the split needs a get edge; do not trust bits
-    } else {
-      set_bit(b, pi);
-    }
-    note_words(b.size());
-    clocks_.push_back(std::move(b));
-    taint_.push_back(t);
-  }
-
-  void on_get_joined(task_id waiter, task_id target, bool) override {
-    merge_from(waiter, target);
-  }
-
-  void on_finish_joined(task_id owner, task_id joined) override {
-    merge_from(owner, joined);
-  }
-
-  void on_compacted() override {
-    // Rebuild every survivor's clock over the new dense index space: remap
-    // each live bit, drop bits of retired tasks (the retirement prelude
-    // answers for them), and free the retired tasks' clocks — the quadratic
-    // term this keeps bounded under service-mode streaming.
-    const epoch_id_map& nm = graph_.id_map();
-    const std::size_t n = graph_.task_count();
-    std::vector<bits> clocks(n);
-    std::vector<std::uint8_t> taint(n, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-      const task_id id = nm.to_id(static_cast<task_id>(i));
-      if (id == k_invalid_task) continue;  // the tombstone slot
-      const task_id oi = prior_map_.to_index(id);
-      FUTRACE_DCHECK(oi != k_invalid_task);
-      const bits& src = clocks_[oi];
-      bits& dst = clocks[i];
-      for (std::size_t w = 0; w < src.size(); ++w) {
-        std::uint64_t word = src[w];
-        while (word != 0) {
-          const int bit = std::countr_zero(word);
-          word &= word - 1;
-          const auto oj = static_cast<task_id>(w * 64 + bit);
-          const task_id id2 = prior_map_.to_id(oj);
-          if (id2 == k_invalid_task) continue;
-          const task_id nj = nm.to_index(id2);
-          if (nj != k_invalid_task) set_bit(dst, nj);
-        }
-      }
-      taint[i] = taint_[oi];
-    }
-    clocks_ = std::move(clocks);
-    taint_ = std::move(taint);
-    prior_map_ = nm;
-    ++compactions_;
-  }
-
-  void merge_stats(reachability_stats& s) const override {
-    precede_backend::merge_stats(s);
-    s.label_bytes += clock_bytes();
-    s.label_comparisons += bit_tests_;
-    s.max_label_len =
-        std::max<std::uint64_t>(s.max_label_len, max_words_ * 8);
-  }
-
-  std::size_t memory_bytes() const override {
-    return clock_bytes() + clocks_.capacity() * sizeof(bits) +
-           taint_.capacity();
-  }
-
- protected:
-  std::uint64_t memo_key(task_id a) override { return a; }
-  std::uint64_t mutation_stamp() const override { return compactions_; }
-
-  bool query(task_id a, task_id b) override {
-    const epoch_id_map& m = graph_.id_map();
-    const task_id ai = m.to_index(a);
-    if (ai == k_invalid_task) return true;  // retired: fully ordered
-    const task_id bi = m.to_index(b);
-    if (ai == bi) return true;
-    ++bit_tests_;
-    if (taint_[bi] == 0 && test_bit(clocks_[bi], ai)) return true;
-    return graph_.precedes(a, b);
-  }
-
- private:
-  using bits = std::vector<std::uint64_t>;
-
-  static void set_bit(bits& b, task_id t) {
-    const std::size_t word = t / 64;
-    if (word >= b.size()) b.resize(word + 1, 0);
-    b[word] |= std::uint64_t{1} << (t % 64);
-  }
-
-  static bool test_bit(const bits& b, task_id t) {
-    const std::size_t word = t / 64;
-    return word < b.size() && (b[word] >> (t % 64)) & 1;
-  }
-
-  void note_words(std::size_t words) {
-    if (words > max_words_) max_words_ = words;
-  }
-
-  void merge_from(task_id waiter, task_id target) {
-    const epoch_id_map& m = graph_.id_map();
-    const task_id ti = m.to_index(target);
-    if (ti == k_invalid_task) return;  // retired: the prelude answers for it
-    if (ti >= clocks_.size()) return;  // vertexless (spawn unwound)
-    const task_id wi = m.to_index(waiter);
-    bits& w = clocks_[wi];
-    const bits& t = clocks_[ti];
-    if (t.size() > w.size()) w.resize(t.size(), 0);
-    for (std::size_t i = 0; i < t.size(); ++i) w[i] |= t[i];
-    set_bit(w, ti);
-    note_words(w.size());
-    taint_[wi] |= taint_[ti];
-  }
-
-  std::size_t clock_bytes() const {
-    std::size_t bytes = 0;
-    for (const bits& b : clocks_) {
-      bytes += b.capacity() * sizeof(std::uint64_t);
-    }
-    return bytes;
-  }
-
-  std::vector<bits> clocks_;         // by storage index
-  std::vector<std::uint8_t> taint_;  // clock crossed a continuation split
-  epoch_id_map prior_map_;
-  std::uint64_t bit_tests_ = 0;
-  std::uint64_t max_words_ = 0;
-  std::uint64_t compactions_ = 0;
 };
 
 }  // namespace
@@ -390,8 +210,6 @@ std::unique_ptr<precede_backend> make_precede_backend(
       return std::make_unique<graph_backend>(graph);
     case backend_kind::depa:
       return std::make_unique<depa_backend>(graph);
-    case backend_kind::vector_clock:
-      return std::make_unique<vc_backend>(graph);
   }
   FUTRACE_CHECK_MSG(false, "unknown precede backend kind");
   return nullptr;
